@@ -21,6 +21,7 @@ from .report import (
     emit,
     extract_mentions,
     load_resources,
+    mention_sort_key,
     read_mentions_jsonl,
     run_audit,
     sample_for_labeling,
@@ -165,9 +166,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     mentions, _ = extract_mentions(
         args.corpus, sources, resources, outlet_suppression=suppression
     )
-    mentions.sort(
-        key=lambda m: (m.article_id, m.sentence_index, m.speaker_text, m.org_text)
-    )
+    mentions.sort(key=mention_sort_key)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = write_mentions_jsonl(mentions, out / "mentions.jsonl")

@@ -70,19 +70,31 @@ class SourceConfig:
 def load_source_config(path: "str | Path") -> SourceConfig:
     """Read the outlet config JSON: key -> display_name/ideology/self_org_names."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object of outlets")
     outlets = {}
     for key, entry in raw.items():
         try:
-            ideology = Ideology(entry["ideology"])
+            display_name, ideology = entry["display_name"], entry["ideology"]
+            self_org_names = tuple(entry["self_org_names"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: outlet {key!r} lacks {exc}") from None
+        except TypeError:
+            raise ValueError(
+                f"{path}: outlet {key!r} must be an object with display_name, "
+                "ideology and a self_org_names list"
+            ) from None
+        try:
+            ideology = Ideology(ideology)
         except ValueError:
             raise ValueError(
-                f"outlet {key!r}: ideology must be 'left' or 'right', got {entry['ideology']!r}"
+                f"outlet {key!r}: ideology must be 'left' or 'right', got {ideology!r}"
             ) from None
         outlets[key] = Outlet(
             key=key,
-            display_name=entry["display_name"],
+            display_name=display_name,
             ideology=ideology,
-            self_org_names=tuple(entry["self_org_names"]),
+            self_org_names=self_org_names,
         )
     return SourceConfig(outlets=outlets)
 

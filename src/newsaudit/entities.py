@@ -17,14 +17,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .orglink import (
-    MATCH_THRESHOLD,
-    _pair_strings,
-    _ratio_upper_bound,
-    _score_pairs,
-    _token_set_cached,
-    token_set_similarity,
-)
+from .orglink import MATCH_THRESHOLD, NameIndex
+from .orglink import token_set_similarity  # noqa: F401  (callers look it up here)
 
 # Word tokens keep internal apostrophes and hyphens ("O'Brien", "Inter-American").
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*")
@@ -304,25 +298,16 @@ def _cue_tokens() -> frozenset[str]:
 _CUES_WITH_PLURALS = _cue_tokens()
 
 
+@lru_cache(maxsize=16)
+def _name_index(names: tuple[str, ...]) -> NameIndex:
+    return NameIndex(names)
+
+
 @lru_cache(maxsize=65536)
 def _matches_any_name(
     text: str, names: tuple[str, ...], threshold: int = MATCH_THRESHOLD
 ) -> bool:
-    ta = _token_set_cached(text)
-    for name in names:
-        s_i, s_a, s_b = _pair_strings(ta, _token_set_cached(name))
-        if s_i == s_a or s_i == s_b or s_a == s_b:
-            return True
-        ub = max(
-            _ratio_upper_bound(s_a, s_b, threshold - 1),
-            _ratio_upper_bound(s_i, s_a, threshold - 1),
-            _ratio_upper_bound(s_i, s_b, threshold - 1),
-        )
-        if int(round(ub)) < threshold:
-            continue
-        if _score_pairs(s_i, s_a, s_b) >= threshold:
-            return True
-    return False
+    return _name_index(names).first_match(text, threshold) is not None
 
 
 def find_org_mentions(
@@ -461,20 +446,18 @@ def resolve_unique_experts(
     if gender_mode not in ("first", "majority"):
         raise ValueError("gender_mode must be 'first' or 'majority'")
     experts: list[UniqueExpert] = []
+    canonical = NameIndex()  # ids are positions in ``experts``
     exact: dict[str, int] = {}
     for pos, name in enumerate(names):
         label = labels[pos] if labels is not None else _UNKNOWN_LABEL
         idx = exact.get(name)
         if idx is None:
-            for k, expert in enumerate(experts):
-                if token_set_similarity(name, expert.canonical_name) >= threshold:
-                    idx = k
-                    break
+            idx = canonical.first_match(name, threshold)
         if idx is None:
             experts.append(
                 UniqueExpert(canonical_name=name, mention_count=0, gender=label)
             )
-            idx = len(experts) - 1
+            idx = canonical.add(name)
         exact[name] = idx
         expert = experts[idx]
         expert.mention_count += 1

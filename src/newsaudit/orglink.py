@@ -6,6 +6,17 @@ top of Levenshtein distance, so word order and extra qualifiers ("The
 University of Maryland - College Park" vs. "The University of Maryland")
 do not defeat the match, while short abbreviations ("CDC") stay below the
 linking threshold by design.
+
+This module is also the one similarity kernel of the pipeline.  The
+distance is a bit-parallel Levenshtein (Myers 1999, Hyyro 2003) over
+Python ints; the dynamic-programming :func:`levenshtein` stays as the
+reference it is tested against.  Each name is profiled once (token set,
+sorted-token string, character multiset); :func:`score_at_least` runs the
+distance only when the length and character-multiset bounds cannot
+decide.  :class:`NameIndex` blocks candidates by token and by length with
+no loss (the argument is in its docstring) and serves the first match
+(expert dedup, and as a yes/no, organization detection and outlet
+suppression) and the best match (linking and the public-health join).
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +92,11 @@ class OrgLink:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, all cost 1)."""
+    """Classic edit distance (insert/delete/substitute, all cost 1).
+
+    The textbook O(n*m) dynamic programme.  Scoring runs on the
+    bit-parallel :func:`_distance`; this stays as its reference.
+    """
     if a == b:
         return 0
     if not a:
@@ -99,60 +114,119 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def _distance(a: str, b: str) -> int:
+    """Levenshtein distance by bit-parallel column updates.
+
+    Myers (1999), in Hyyro's (2003) edit-distance form: the vertical
+    deltas of one DP column are held as bit vectors over the longer
+    string (Python ints have any width), so each character of the
+    shorter string costs a fixed number of integer operations.
+    """
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, dist = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # Row 0 of the DP counts up by one per column: shift in a +1.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
+
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-
-def _token_set(s: str) -> set[str]:
-    return set(_TOKEN_RE.findall(s.casefold()))
-
-
-@lru_cache(maxsize=8192)
-def _token_set_cached(s: str) -> frozenset[str]:
-    return frozenset(_TOKEN_RE.findall(s.casefold()))
-
-
-def _ratio(x: str, y: str) -> float:
-    return 100.0 * (1.0 - levenshtein(x, y) / max(len(x), len(y), 1))
+# Sorted-token strings use only these characters.  A name's character
+# multiset is packed into one int: the k-th occurrence (k = 0, 1, ...) of
+# the character in slot c sets bit k * len(_ALPHABET) + c, so the size of
+# the multiset intersection of two names is the popcount of their AND.
+_ALPHABET = " abcdefghijklmnopqrstuvwxyz0123456789"
+_SLOT = {c: i for i, c in enumerate(_ALPHABET)}
+_REPUNIT_DIV = (1 << len(_ALPHABET)) - 1
 
 
-def _ratio_upper_bound(x: str, y: str, floor: float = -1.0) -> float:
-    # Cheap upper bounds that avoid the O(n*m) distance when a pair
-    # cannot win: the distance is at least the length difference, and at
-    # least the number of characters of the longer string not covered by
-    # the character multiset of the other.  If the length bound alone is
-    # already at or below ``floor`` it is returned without building the
-    # multisets (still a valid upper bound).
-    lx, ly = len(x), len(y)
-    m = max(lx, ly, 1)
-    len_bound = 100.0 * (1.0 - abs(lx - ly) / m)
-    if len_bound <= floor:
-        return len_bound
-    overlap = sum((Counter(x) & Counter(y)).values())
-    lower = max(abs(lx - ly), m - overlap)
-    return 100.0 * (1.0 - lower / m)
+class _Profile(NamedTuple):
+    """What the scorer needs of one name, computed once."""
+
+    tokens: frozenset[str]
+    text: str  # the sorted tokens joined by single spaces
+    bag: int  # the character multiset of ``text``, packed as above
 
 
-def _pair_strings(ta: frozenset | set, tb: frozenset | set) -> tuple[str, str, str]:
-    inter = sorted(ta & tb)
-    s_i = " ".join(inter)
-    s_a = " ".join(inter + sorted(ta - tb))
-    s_b = " ".join(inter + sorted(tb - ta))
-    return s_i, s_a, s_b
+@lru_cache(maxsize=16384)
+def _profile(name: str) -> _Profile:
+    tokens = frozenset(_TOKEN_RE.findall(name.casefold()))
+    text = " ".join(sorted(tokens))
+    bag = 0
+    for c, k in Counter(text).items():
+        bag |= ((1 << (k * len(_ALPHABET))) - 1) // _REPUNIT_DIV << _SLOT[c]
+    return _Profile(tokens, text, bag)
 
 
-def _score_pairs(s_i: str, s_a: str, s_b: str) -> int:
-    best = 0.0
-    # (A, B) first: it usually carries the maximum, so the later pairs
-    # tend to be eliminated by their bounds.
-    for x, y in ((s_a, s_b), (s_i, s_a), (s_i, s_b)):
-        if x == y:
-            best = 100.0
-            break
-        if _ratio_upper_bound(x, y, best) <= best:
-            continue
-        r = _ratio(x, y)
-        if r > best:
-            best = r
+def _reaches(distance: int, length: int, threshold: int) -> bool:
+    """Whether a ratio with this distance over this length rounds to >= threshold."""
+    return int(round(100.0 * (1.0 - distance / length))) >= threshold
+
+
+def _score(pa: _Profile, pb: _Profile, cutoff: int) -> int:
+    """Token-set similarity of two profiled names, exact when >= ``cutoff``.
+
+    A score below ``cutoff`` may come back as any value below
+    ``cutoff``: the one distance is skipped when a bound shows it
+    cannot lift the score to ``cutoff``.  Rounding is monotone, so a
+    ratio whose upper bound rounds below ``cutoff`` rounds below it too.
+
+    With I, A and B as in :func:`token_set_similarity`, I is a prefix of
+    both A and B, so the (I, A) and (I, B) distances are plain length
+    differences and (A, B) equals the distance between the two
+    non-shared remainders.  A and B have the same lengths and character
+    multisets as the names' sorted-token strings, which the profiles
+    carry, so the bounds on (A, B) are read off the profiles.
+    """
+    ta, tb = pa.tokens, pb.tokens
+    if ta <= tb or tb <= ta:  # I equals A or B (this covers tokenless names)
+        return 100
+    la, lb = len(pa.text), len(pb.text)
+    inter = ta & tb
+    if inter:
+        li = sum(map(len, inter)) + len(inter) - 1
+        best = max(100.0 * (1.0 - (la - li) / la), 100.0 * (1.0 - (lb - li) / lb))
+    else:
+        best = 0.0
+    m = max(la, lb)
+    # The distance is at least the length difference, and at least the
+    # number of characters of the longer string not covered by the
+    # character multiset of the other.
+    lower = max(abs(la - lb), m - (pa.bag & pb.bag).bit_count())
+    bound = 100.0 * (1.0 - lower / m)
+    if bound > best and int(round(bound)) >= cutoff:
+        if inter:
+            rest_a, rest_b = " ".join(sorted(ta - tb)), " ".join(sorted(tb - ta))
+        else:
+            rest_a, rest_b = pa.text, pb.text
+        ratio = 100.0 * (1.0 - _distance(rest_a, rest_b) / m)
+        if ratio > best:
+            best = ratio
     return int(round(best))
 
 
@@ -168,8 +242,127 @@ def token_set_similarity(a: str, b: str) -> int:
     Consequences worth knowing: equal strings score 100, and whenever one
     token set contains the other the score is also 100.
     """
-    s_i, s_a, s_b = _pair_strings(_token_set(a), _token_set(b))
-    return _score_pairs(s_i, s_a, s_b)
+    return _score(_profile(a), _profile(b), 0)
+
+
+def score_at_least(a: str, b: str, threshold: int) -> bool:
+    """``token_set_similarity(a, b) >= threshold``, skipping what bounds decide."""
+    return _score(_profile(a), _profile(b), threshold) >= threshold
+
+
+class NameIndex:
+    """Names by token and by sorted-token length, for exact blocked lookups.
+
+    Ids are positions in insertion order.  A lookup scores only the
+    candidates that could reach the threshold; the blocking is exact,
+    for this reason.  If the token sets of two names intersect, the pair
+    shares a token posting.  If either set is empty, the subset rule
+    scores the pair 100, so tokenless names are always candidates, and a
+    tokenless query matches every name.  If the sets are disjoint and
+    both non-empty, I is empty, (I, A) and (I, B) score 0, and A and B
+    are the two sorted-token strings, so the score is at most the ratio
+    bound of that pair: only names whose sorted-token length lies within
+    the bound of the query's, and whose character multiset shares enough
+    with the query's, can reach the threshold.  Every candidate is then
+    scored by :func:`_score`, so results equal a scan over all names.
+    """
+
+    def __init__(self, names: Iterable[str] = ()) -> None:
+        self._profiles: list[_Profile] = []
+        self._bags: list[int] = []
+        self._postings: dict[str, list[int]] = {}
+        self._by_length: dict[int, list[int]] = {}
+        self._tokenless: list[int] = []
+        for name in names:
+            self.add(name)
+
+    def add(self, name: str) -> int:
+        """Index ``name`` and return its id."""
+        i = len(self._profiles)
+        p = _profile(name)
+        self._profiles.append(p)
+        self._bags.append(p.bag)
+        if not p.tokens:
+            self._tokenless.append(i)
+        else:
+            self._by_length.setdefault(len(p.text), []).append(i)
+            for tok in p.tokens:
+                self._postings.setdefault(tok, []).append(i)
+        return i
+
+    def _candidates(self, p: _Profile, threshold: int) -> Sequence[int]:
+        if not p.tokens:
+            return range(len(self._profiles))
+        ids = set(self._tokenless)
+        for tok in p.tokens:
+            ids.update(self._postings.get(tok, ()))
+        n, bag, bags = len(p.text), p.bag, self._bags
+        for length, bucket in self._by_length.items():
+            m = max(n, length)
+            d = abs(n - length)
+            if not _reaches(d, m, threshold):
+                continue
+            while d < m and _reaches(d + 1, m, threshold):
+                d += 1
+            # d is now the largest distance that still reaches the
+            # threshold, so a disjoint pair needs m - d characters in common.
+            need = m - d
+            ids.update(i for i in bucket if (bags[i] & bag).bit_count() >= need)
+        return sorted(ids)
+
+    def first_match(self, name: str, threshold: int) -> int | None:
+        """Lowest id whose name scores at least ``threshold`` with ``name``."""
+        p = _profile(name)
+        profiles = self._profiles
+        for i in self._candidates(p, threshold):
+            if _score(p, profiles[i], threshold) >= threshold:
+                return i
+        return None
+
+    def best_match(
+        self, name: str, threshold: int, order: Callable[[int], Any]
+    ) -> tuple[int, int] | None:
+        """(id, score) of the best name scoring at least ``threshold``.
+
+        Higher scores win; equal scores go to the smaller ``order(id)``,
+        then to the lower id.
+        """
+        p = _profile(name)
+        profiles = self._profiles
+        best_i, best_key, best_s = None, None, threshold
+        for i in self._candidates(p, threshold):
+            # Exact whenever it can tie or beat the current best.
+            s = _score(p, profiles[i], best_s)
+            if s < best_s:
+                continue
+            key = (-s, order(i))
+            if best_key is None or key < best_key:
+                best_i, best_key, best_s = i, key, s
+        return None if best_i is None else (best_i, best_s)
+
+
+class _LinkIndex(NamedTuple):
+    records: tuple
+    names: NameIndex
+    memo: dict  # (stripped mention text, threshold) -> OrgLink | None
+
+
+# Indexes of the gazetteers recently linked against, newest first.  A link
+# depends only on the text, the records and the threshold, so the memo
+# can never hand back a stale answer; it is emptied when it grows large.
+_LINK_INDEXES: list[_LinkIndex] = []
+_MEMO_SIZE = 65536
+
+
+def _link_index(gazetteers: Sequence[OrgRecord]) -> _LinkIndex:
+    records = gazetteers if type(gazetteers) is tuple else tuple(gazetteers)
+    for entry in _LINK_INDEXES:
+        if entry.records is records or entry.records == records:
+            return entry
+    entry = _LinkIndex(records, NameIndex(r.name for r in records), {})
+    _LINK_INDEXES.insert(0, entry)
+    del _LINK_INDEXES[4:]
+    return entry
 
 
 def link_org(
@@ -185,39 +378,31 @@ def link_org(
     never reach the subset rule) and for best scores below the threshold.
     Ties are broken by org type (academic, then federal, then think tank)
     and then by the lexicographically smallest record name, so the result
-    does not depend on gazetteer order.
+    does not depend on gazetteer order.  Results are memoized per
+    gazetteer and stripped mention text.
     """
     text = getattr(mention, "text", mention)
     if not isinstance(text, str):
         raise TypeError("mention must be a string or have a .text attribute")
     text = text.strip()
-    if sum(c.isalnum() for c in text) < MIN_MENTION_CHARS:
-        return None
-    ta = _token_set_cached(text)
-    best_key: tuple[int, int, str] | None = None
-    best_rec: OrgRecord | None = None
-    best_score = -1
-    for rec in gazetteers:
-        s_i, s_a, s_b = _pair_strings(ta, _token_set_cached(rec.name))
-        if s_i != s_a and s_i != s_b and s_a != s_b:
-            # A record that provably cannot reach the threshold or tie
-            # the current best can be dropped on its upper bound alone;
-            # rounding is monotone, so no exact score is lost.
-            cutoff = max(threshold, best_score)
-            ub = max(
-                _ratio_upper_bound(s_a, s_b, cutoff - 1),
-                _ratio_upper_bound(s_i, s_a, cutoff - 1),
-                _ratio_upper_bound(s_i, s_b, cutoff - 1),
-            )
-            if int(round(ub)) < cutoff:
-                continue
-        s = _score_pairs(s_i, s_a, s_b)
-        key = (-s, _TYPE_PRIORITY[rec.org_type], rec.name)
-        if best_key is None or key < best_key:
-            best_key, best_rec, best_score = key, rec, s
-    if best_rec is None or best_score < threshold:
-        return None
-    return OrgLink(mention_text=text, record=best_rec, score=best_score)
+    index = _link_index(gazetteers)
+    key = (text, threshold)
+    if key in index.memo:
+        return index.memo[key]
+    link = None
+    if sum(c.isalnum() for c in text) >= MIN_MENTION_CHARS:
+        records = index.records
+        match = index.names.best_match(
+            text,
+            threshold,
+            lambda i: (_TYPE_PRIORITY[records[i].org_type], records[i].name),
+        )
+        if match is not None:
+            link = OrgLink(mention_text=text, record=records[match[0]], score=match[1])
+    if len(index.memo) >= _MEMO_SIZE:
+        index.memo.clear()
+    index.memo[key] = link
+    return link
 
 
 def default_gazetteer_dir() -> Path:
@@ -272,24 +457,21 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
         seen.add(key)
         academics.append(OrgRecord(name, OrgType.ACADEMIC, world_rank=rank))
 
+    index = NameIndex(rec.name for rec in academics)
     for row in _data_rows(d / "public_health.csv"):
         ph_rank, name = int(row[0]), row[1].strip()
-        best_i, best_key = None, None
-        for i, rec in enumerate(academics):
-            s = token_set_similarity(name, rec.name)
-            if s < MATCH_THRESHOLD:
-                continue
-            key = (-s, rec.name)
-            if best_key is None or key < best_key:
-                best_i, best_key = i, key
-        if best_i is None:
+        match = index.best_match(name, MATCH_THRESHOLD, lambda i: academics[i].name)
+        if match is None:
             log.info("public-health school %r matches no ranked university; kept standalone", name)
             if name.casefold() in seen:
                 log.warning("duplicate public-health school %r ignored", name)
                 continue
             seen.add(name.casefold())
             academics.append(OrgRecord(name, OrgType.ACADEMIC, public_health_rank=ph_rank))
-        elif academics[best_i].public_health_rank is not None:
+            index.add(name)
+            continue
+        best_i = match[0]
+        if academics[best_i].public_health_rank is not None:
             log.warning("university %r already has a public-health rank; %r ignored",
                         academics[best_i].name, name)
         else:

@@ -299,6 +299,11 @@ def extract_mentions(
     return mentions, counters
 
 
+def mention_sort_key(m: ExpertMention) -> tuple:
+    """The deterministic order of mentions in every artifact."""
+    return (m.article_id, m.sentence_index, m.speaker_text, m.org_text)
+
+
 def write_mentions_jsonl(mentions: Sequence[ExpertMention], path: "str | Path") -> Path:
     p = Path(path)
     with p.open("w", encoding="utf-8") as fh:
@@ -310,9 +315,14 @@ def write_mentions_jsonl(mentions: Sequence[ExpertMention], path: "str | Path") 
 def read_mentions_jsonl(path: "str | Path") -> list[ExpertMention]:
     out = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                out.append(ExpertMention.from_dict(json.loads(line)))
+                try:
+                    out.append(ExpertMention.from_dict(json.loads(line)))
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{lineno}: mention lacks {exc}") from None
+                except (AttributeError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed mention: {exc}") from None
     return out
 
 
@@ -462,9 +472,7 @@ def build_report(
     """Assemble every table of the audit from an enriched mention list."""
     if resources is None:
         resources = load_resources()
-    mentions = sorted(
-        mentions, key=lambda m: (m.article_id, m.sentence_index, m.speaker_text, m.org_text)
-    )
+    mentions = sorted(mentions, key=mention_sort_key)
     data: dict[str, Any] = {
         "config": config.to_dict(),
         "corpus": _corpus_section(mentions, sources, ingest, counters),
@@ -801,9 +809,7 @@ def run_audit(
         outlet_suppression=config.outlet_suppression,
         ingest=ingest,
     )
-    mentions.sort(
-        key=lambda m: (m.article_id, m.sentence_index, m.speaker_text, m.org_text)
-    )
+    mentions.sort(key=mention_sort_key)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts on disk, subcommand parity."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +139,51 @@ def test_seed_changes_bootstrap_but_not_counts(tmp_path):
     assert a["totals"]["mentions"] == b["totals"]["mentions"]
     assert (a["totals"]["women_men"]["bootstrap"]["mean"]
             != b["totals"]["women_men"]["bootstrap"]["mean"])
+
+
+@pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"ideology": "left", "self_org_names": ["X"]}, "'display_name'"),
+        ({"display_name": "X", "self_org_names": ["X"]}, "'ideology'"),
+        ({"display_name": "X", "ideology": "left"}, "'self_org_names'"),
+        ("not an object", "must be an object"),
+    ],
+)
+def test_malformed_sources_entry_exits_cleanly(tmp_path, caplog, entry, needle):
+    sources = json.loads(Path(SOURCES).read_text(encoding="utf-8"))
+    sources["broken"] = entry
+    path = tmp_path / "sources.json"
+    path.write_text(json.dumps(sources), encoding="utf-8")
+    code = main(["audit", "--corpus", CORPUS, "--sources", str(path),
+                 "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert code == EXIT_FATAL
+    message = caplog.records[-1].getMessage()
+    assert str(path) in message and "'broken'" in message and needle in message
+
+
+@pytest.mark.parametrize("field", ["article_id", "speaker_text", "detectors"])
+def test_mentions_line_missing_field_exits_cleanly(tmp_path, caplog, field):
+    ext = tmp_path / "ext"
+    assert main(["extract", "--corpus", CORPUS, "--sources", SOURCES,
+                 "--out", str(ext)]) == EXIT_OK
+    lines = (ext / "mentions.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = json.loads(lines[2])
+    del bad[field]
+    lines[2] = json.dumps(bad)
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["stats", "--mentions", str(mentions), "--sources", SOURCES,
+                 "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert code == EXIT_FATAL
+    message = caplog.records[-1].getMessage()
+    assert f"{mentions}:3:" in message and repr(field) in message
+
+
+def test_mentions_line_not_an_object_exits_cleanly(tmp_path, caplog):
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text("[1, 2]\n", encoding="utf-8")
+    code = main(["stats", "--mentions", str(mentions), "--sources", SOURCES,
+                 "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert code == EXIT_FATAL
+    assert f"{mentions}:1:" in caplog.records[-1].getMessage()

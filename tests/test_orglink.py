@@ -16,6 +16,7 @@ from newsaudit.orglink import (
     levenshtein,
     link_org,
     load_gazetteers,
+    score_at_least,
     token_set_similarity,
 )
 
@@ -352,23 +353,8 @@ def test_shipped_university_names_self_link():
 def test_shipped_gazetteers_have_no_near_duplicates():
     # Cross-record similarity at or above the threshold would make
     # linking ambiguous, so the shipped lists must keep names apart.
-    # Bound-first screening keeps the all-pairs sweep fast; any pair the
-    # bound cannot clear is checked with the exact scorer.
-    from newsaudit.orglink import _pair_strings, _ratio_upper_bound, _token_set_cached
-
     records = load_gazetteers(default_gazetteer_dir())
     names = [r.name for r in records]
-    tokens = [_token_set_cached(n) for n in names]
     for i, a in enumerate(names):
-        for j in range(i + 1, len(names)):
-            s_i, s_a, s_b = _pair_strings(tokens[i], tokens[j])
-            if s_i != s_a and s_i != s_b and s_a != s_b:
-                ub = max(
-                    _ratio_upper_bound(s_a, s_b, MATCH_THRESHOLD - 1),
-                    _ratio_upper_bound(s_i, s_a, MATCH_THRESHOLD - 1),
-                    _ratio_upper_bound(s_i, s_b, MATCH_THRESHOLD - 1),
-                )
-                if int(round(ub)) < MATCH_THRESHOLD:
-                    continue
-            s = token_set_similarity(a, names[j])
-            assert s < MATCH_THRESHOLD, (a, names[j], s)
+        for b in names[i + 1:]:
+            assert not score_at_least(a, b, MATCH_THRESHOLD), (a, b, token_set_similarity(a, b))
