@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -233,6 +235,20 @@ def _quote_regions(body: str) -> list[tuple[int, int]]:
     ]
 
 
+def _enclosing_region(
+    regions: list[tuple[int, int]], i: int
+) -> tuple[int, int] | None:
+    """The region with ``open < i < close``, or None.
+
+    ``regions`` come from :func:`_quote_regions` (sorted, disjoint), so
+    only the last region opening before ``i`` can contain it.
+    """
+    k = bisect_left(regions, i, key=itemgetter(0)) - 1
+    if k >= 0 and i < regions[k][1]:
+        return regions[k]
+    return None
+
+
 def segment_sentences(body: str, article_ref: str = "") -> list[Sentence]:
     """Split a body into sentences with stable character offsets.
 
@@ -250,19 +266,13 @@ def segment_sentences(body: str, article_ref: str = "") -> list[Sentence]:
         return []
     regions = _quote_regions(body)
 
-    def enclosing(i: int) -> tuple[int, int] | None:
-        for open_, close in regions:
-            if open_ < i < close:
-                return (open_, close)
-        return None
-
     boundaries: list[int] = []
     for m in _TERMINATOR.finditer(body):
         i = m.start()
         if body[i] == "." and _is_abbreviation_period(body, i):
             continue
         end = i + 1
-        region = enclosing(i)
+        region = _enclosing_region(regions, i)
         if region is not None:
             if i + 1 != region[1]:
                 continue

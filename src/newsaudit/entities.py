@@ -11,6 +11,7 @@ fuzzy full-name matching against previously founded identities.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -263,14 +264,13 @@ def person_exclusion_spans(
     """
     text = getattr(sentence, "text", sentence)
     toks = _tokens(text)
+    ends = [t.end for t in toks]
     spans: list[tuple[int, int]] = []
     for m in mentions:
         start, end = m.span
-        prev = None
-        for tok in toks:
-            if tok.end > start:
-                break
-            prev = tok
+        # the last token ending at or before the mention
+        k = bisect_right(ends, start)
+        prev = toks[k - 1] if k else None
         if (
             prev is not None
             and prev.text in honorifics

@@ -10,12 +10,14 @@ candidates that lack either entity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import _quote_regions
+from .corpus import _enclosing_region, _quote_regions
 from .entities import OrgMention, PersonMention, _is_cap, _matches_any_name, _tokens
 from .orglink import MATCH_THRESHOLD
 
@@ -53,9 +55,17 @@ REQUIRED_VERBS = frozenset(
 
 @dataclass(frozen=True)
 class ReportingVerbLexicon:
-    """Lowercase reporting verbs and multiword phrases."""
+    """Lowercase reporting verbs and multiword phrases.
+
+    ``phrases`` maps each phrase's first word to its token tuples, longest
+    first; it is built once here so per-sentence detection never walks
+    the whole lexicon.
+    """
 
     verbs: frozenset
+    phrases: Mapping[str, tuple[tuple[str, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         missing = REQUIRED_VERBS - set(self.verbs)
@@ -64,6 +74,15 @@ class ReportingVerbLexicon:
         bad = [v for v in self.verbs if v != v.casefold() or not v.strip()]
         if bad:
             raise ValueError(f"lexicon entries must be lowercase: {bad[:5]}")
+        phrases: dict[str, list[tuple[str, ...]]] = {}
+        for verb in self.verbs:
+            parts = tuple(verb.split())
+            phrases.setdefault(parts[0], []).append(parts)
+        object.__setattr__(
+            self,
+            "phrases",
+            {w: tuple(sorted(ps, key=len, reverse=True)) for w, ps in phrases.items()},
+        )
 
     def __len__(self) -> int:
         return len(self.verbs)
@@ -161,10 +180,6 @@ def detect_direct_pattern(sentence) -> Optional[QuoteCandidate]:
 # ClausalComplement
 
 
-def _outside_regions(pos: int, regions: Sequence[tuple[int, int]]) -> bool:
-    return all(not (lo < pos < hi) for lo, hi in regions)
-
-
 def _trim_end(text: str, start: int, end: int) -> int:
     while end > start and text[end - 1] in '.!? \t':
         end -= 1
@@ -185,12 +200,7 @@ def detect_clausal_complement(
     text = _sentence_text(sentence)
     regions = _quote_regions(text)
     toks = _tokens(text)
-    phrases: dict[str, list[tuple[str, ...]]] = {}
-    for verb in lexicon.verbs:
-        parts = tuple(verb.split())
-        phrases.setdefault(parts[0], []).append(parts)
-    for starts in phrases.values():
-        starts.sort(key=len, reverse=True)
+    phrases = lexicon.phrases
 
     for i, tok in enumerate(toks):
         low = tok.text.casefold()
@@ -200,14 +210,11 @@ def detect_clausal_complement(
                 continue
             if any(toks[i + k].text.casefold() != parts[k] for k in range(len(parts))):
                 continue
-            if not _outside_regions(tok.start, regions):
+            if _enclosing_region(regions, tok.start) is not None:
                 continue
             verb_span = (tok.start, toks[j].end)
-            clause_start = 0
-            for lo, hi in regions:
-                if hi <= tok.start:
-                    clause_start = max(clause_start, hi + 1)
-            window = (clause_start, verb_span[0])
+            k = bisect_right(regions, tok.start, key=itemgetter(1))
+            window = (regions[k - 1][1] + 1 if k else 0, verb_span[0])
             if not any(
                 _is_cap(t.text) for t in toks if window[0] <= t.start < window[1]
             ):
@@ -348,7 +355,11 @@ def union_candidates(
             groups.append([cand])
             span = cand.rspeech_span
 
-    names_t = tuple(outlet_names)
+    persons = sorted(persons, key=lambda p: p.span)
+    orgs = sorted(orgs, key=lambda o: o.span)
+    if suppress_outlet_names and outlet_names:
+        names_t = tuple(outlet_names)
+        orgs = [o for o in orgs if not _matches_any_name(o.text, names_t, threshold)]
     out: list[QuoteCandidate] = []
     for group in groups:
         primary = min(
@@ -357,7 +368,7 @@ def union_candidates(
         )
         tags = frozenset().union(*(c.detectors for c in group))
         speaker = _first_in_window(persons, primary)
-        org = _resolve_org(orgs, primary, names_t, suppress_outlet_names, threshold)
+        org = _resolve_org(orgs, primary)
         if speaker is None or org is None:
             continue
         out.append(
@@ -379,18 +390,19 @@ def _eligible(mention, cand: QuoteCandidate) -> bool:
 
 
 def _first_in_window(persons, cand: QuoteCandidate):
-    for p in sorted(persons, key=lambda p: p.span):
+    """First eligible person (``persons`` sorted by span) in the window."""
+    for p in persons:
         if _eligible(p, cand) and _overlaps(p.span, cand.window_span):
             return p
     return None
 
 
-def _resolve_org(orgs, cand, outlet_names, suppress, threshold):
-    pool = [o for o in sorted(orgs, key=lambda o: o.span) if _eligible(o, cand)]
-    if suppress and outlet_names:
-        pool = [
-            o for o in pool if not _matches_any_name(o.text, outlet_names, threshold)
-        ]
+def _resolve_org(orgs, cand):
+    """First eligible org in the window, else the first eligible one.
+
+    ``orgs`` is sorted by span and already stripped of outlet self-names.
+    """
+    pool = [o for o in orgs if _eligible(o, cand)]
     for o in pool:
         if _overlaps(o.span, cand.window_span):
             return o

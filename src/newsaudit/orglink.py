@@ -417,6 +417,22 @@ def _data_rows(path: Path) -> Iterable[list[str]]:
     return rows[1:]  # header row
 
 
+def _ranked_rows(path: Path) -> Iterable[tuple[int, str]]:
+    """(rank, name) pairs of a ranked gazetteer file.
+
+    A row without a name column or with a non-integer rank raises a
+    ValueError that names the file and the row.
+    """
+    for row in _data_rows(path):
+        try:
+            yield int(row[0]), row[1].strip()
+        except (IndexError, ValueError):
+            raise ValueError(
+                f"{path}: malformed row {','.join(row)!r} (expected rank,name "
+                "with an integer rank)"
+            ) from None
+
+
 def _text_lines(path: Path) -> list[str]:
     out = []
     for line in path.read_text(encoding="utf-8").splitlines():
@@ -448,8 +464,7 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
 
     academics: list[OrgRecord] = []
     seen: set[str] = set()
-    for row in _data_rows(d / "universities.csv"):
-        rank, name = int(row[0]), row[1].strip()
+    for rank, name in _ranked_rows(d / "universities.csv"):
         key = name.casefold()
         if key in seen:
             log.warning("duplicate university %r ignored", name)
@@ -458,8 +473,7 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
         academics.append(OrgRecord(name, OrgType.ACADEMIC, world_rank=rank))
 
     index = NameIndex(rec.name for rec in academics)
-    for row in _data_rows(d / "public_health.csv"):
-        ph_rank, name = int(row[0]), row[1].strip()
+    for ph_rank, name in _ranked_rows(d / "public_health.csv"):
         match = index.best_match(name, MATCH_THRESHOLD, lambda i: academics[i].name)
         if match is None:
             log.info("public-health school %r matches no ranked university; kept standalone", name)

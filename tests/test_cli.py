@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, artifacts on disk, subcommand parity."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from newsaudit.cli import EXIT_EMPTY, EXIT_FATAL, EXIT_OK, main
+from newsaudit.orglink import default_gazetteer_dir
 from newsaudit.report import fixture_dir
 
 CORPUS = str(fixture_dir() / "corpus.jsonl")
@@ -187,3 +189,19 @@ def test_mentions_line_not_an_object_exits_cleanly(tmp_path, caplog):
                  "--out", str(tmp_path / "out"), "--formats", "json"])
     assert code == EXIT_FATAL
     assert f"{mentions}:1:" in caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("filename", ["universities.csv", "public_health.csv"])
+@pytest.mark.parametrize("row", ["7", "seven,Northfield University"])
+def test_malformed_gazetteer_row_exits_cleanly(tmp_path, caplog, filename, row):
+    gaz = tmp_path / "gazetteers"
+    shutil.copytree(default_gazetteer_dir(), gaz)
+    with (gaz / filename).open("a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    code = main(["audit", "--corpus", CORPUS, "--sources", SOURCES,
+                 "--gazetteers", str(gaz), "--out", str(tmp_path / "out"),
+                 "--formats", "json"])
+    assert code == EXIT_FATAL
+    message = caplog.records[-1].getMessage()
+    assert str(gaz / filename) in message and repr(row) in message
+    assert "\n" not in message

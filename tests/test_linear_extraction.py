@@ -1,0 +1,442 @@
+"""Linear-time segmentation and detection against the slow references.
+
+``segment_sentences`` finds the quote region around a terminator by
+bisection, ``detect_clausal_complement`` reads the phrase index built
+once by ``ReportingVerbLexicon``, and the union resolves entities from
+mentions sorted once per call.  The references below keep the earlier
+per-terminator, per-sentence and per-group scans verbatim; the fast code
+must agree with them exactly.  Fuzz tests feed arbitrary text, and a
+scaling test guards against the quadratic region scan coming back.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from typing import Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from newsaudit import corpus
+from newsaudit.corpus import (
+    _TERMINATOR,
+    Sentence,
+    _is_abbreviation_period,
+    _quote_regions,
+    segment_sentences,
+)
+from newsaudit.entities import (
+    _PERSON_GAP,
+    _is_cap,
+    _matches_any_name,
+    _tokens,
+    find_org_mentions,
+    find_person_mentions,
+    load_gender_dict,
+    load_honorifics,
+    load_stoplist,
+    person_exclusion_spans,
+)
+from newsaudit.extract import (
+    _DETECTOR_PRIORITY,
+    REQUIRED_VERBS,
+    Detector,
+    QuoteCandidate,
+    ReportingVerbLexicon,
+    _clausal_rspeech,
+    _eligible,
+    _overlaps,
+    detect_according_to,
+    detect_clausal_complement,
+    detect_direct_pattern,
+    load_reporting_verbs,
+    run_detectors,
+    union_candidates,
+)
+from newsaudit.orglink import MATCH_THRESHOLD
+
+LEXICON = load_reporting_verbs()
+GENDER, STOPLIST, HONORIFICS = load_gender_dict(), load_stoplist(), load_honorifics()
+
+# Multiword phrases sharing a first word with each other and with a
+# single-word verb, so the longest-first order inside the index matters.
+SHARED_LEXICON = ReportingVerbLexicon(
+    verbs=frozenset(
+        REQUIRED_VERBS
+        | {"said in", "said in a statement", "point", "point out", "made clear",
+           "told reporters", "go on to say", "go on"}
+    )
+)
+
+ORG_NAMES = ("Harvard University", "Centers for Disease Control and Prevention",
+             "Fox News", "Hoover Institution")
+OUTLET_NAMES = ("Fox News",)
+
+
+# ---------------------------------------------------------------------------
+# slow references (the code as it was before bisection and the prebuilt index)
+
+
+def reference_segment_sentences(body: str, article_ref: str = "") -> list[Sentence]:
+    n = len(body)
+    if not body.strip():
+        return []
+    regions = _quote_regions(body)
+
+    def enclosing(i: int) -> tuple[int, int] | None:
+        for open_, close in regions:
+            if open_ < i < close:
+                return (open_, close)
+        return None
+
+    boundaries: list[int] = []
+    for m in _TERMINATOR.finditer(body):
+        i = m.start()
+        if body[i] == "." and _is_abbreviation_period(body, i):
+            continue
+        end = i + 1
+        region = enclosing(i)
+        if region is not None:
+            if i + 1 != region[1]:
+                continue
+            end = region[1] + 1
+        j = end
+        while j < n and body[j].isspace():
+            j += 1
+        if j == end or j >= n:
+            continue
+        if body[j].isupper() or body[j] == '"':
+            boundaries.append(end)
+
+    sentences: list[Sentence] = []
+    start = 0
+    for end in boundaries + [n]:
+        lo, hi = start, end
+        while lo < hi and body[lo].isspace():
+            lo += 1
+        while hi > lo and body[hi - 1].isspace():
+            hi -= 1
+        if lo < hi:
+            sentences.append(
+                Sentence(article_ref=article_ref, index=len(sentences),
+                         span=(lo, hi), text=body[lo:hi])
+            )
+        start = end
+    return sentences
+
+
+def reference_clausal_complement(sentence, lexicon) -> Optional[QuoteCandidate]:
+    text = getattr(sentence, "text", sentence)
+    regions = _quote_regions(text)
+    toks = _tokens(text)
+    phrases: dict[str, list[tuple[str, ...]]] = {}
+    for verb in lexicon.verbs:
+        parts = tuple(verb.split())
+        phrases.setdefault(parts[0], []).append(parts)
+    for starts in phrases.values():
+        starts.sort(key=len, reverse=True)
+
+    for i, tok in enumerate(toks):
+        low = tok.text.casefold()
+        for parts in phrases.get(low, ()):
+            j = i + len(parts) - 1
+            if j >= len(toks):
+                continue
+            if any(toks[i + k].text.casefold() != parts[k] for k in range(len(parts))):
+                continue
+            if not all(not (lo < tok.start < hi) for lo, hi in regions):
+                continue
+            verb_span = (tok.start, toks[j].end)
+            clause_start = 0
+            for lo, hi in regions:
+                if hi <= tok.start:
+                    clause_start = max(clause_start, hi + 1)
+            window = (clause_start, verb_span[0])
+            if not any(
+                _is_cap(t.text) for t in toks if window[0] <= t.start < window[1]
+            ):
+                continue
+            rspeech, quoted = _clausal_rspeech(text, toks, regions, j, parts)
+            return QuoteCandidate(
+                sentence_ref=sentence,
+                rspeech_span=rspeech,
+                rverb=" ".join(parts),
+                rverb_span=verb_span,
+                detectors=frozenset({Detector.CLAUSAL_COMPLEMENT}),
+                rspeech_quoted=quoted,
+                window_span=window,
+            )
+    return None
+
+
+def reference_person_exclusion_spans(text, mentions, honorifics):
+    toks = _tokens(text)
+    spans = []
+    for m in mentions:
+        start, end = m.span
+        prev = None
+        for tok in toks:
+            if tok.end > start:
+                break
+            prev = tok
+        if (
+            prev is not None
+            and prev.text in honorifics
+            and _PERSON_GAP.match(text[prev.end:start])
+        ):
+            start = prev.start
+        spans.append((start, end))
+    return spans
+
+
+def _priority(c):
+    return _DETECTOR_PRIORITY[min(c.detectors, key=_DETECTOR_PRIORITY.get)]
+
+
+def reference_union(cands, persons, orgs, outlet_names=(), suppress=True,
+                    threshold=MATCH_THRESHOLD):
+    if not cands:
+        return []
+    ordered = sorted(cands, key=lambda c: (c.rspeech_span, _priority(c)))
+    groups, span = [], None
+    for cand in ordered:
+        if span is not None and _overlaps(cand.rspeech_span, span):
+            groups[-1].append(cand)
+            span = (min(span[0], cand.rspeech_span[0]), max(span[1], cand.rspeech_span[1]))
+        else:
+            groups.append([cand])
+            span = cand.rspeech_span
+    out = []
+    for group in groups:
+        primary = min(group, key=lambda c: (_priority(c), c.rspeech_span))
+        speaker = None
+        for p in sorted(persons, key=lambda p: p.span):
+            if _eligible(p, primary) and _overlaps(p.span, primary.window_span):
+                speaker = p
+                break
+        pool = [o for o in sorted(orgs, key=lambda o: o.span) if _eligible(o, primary)]
+        if suppress and outlet_names:
+            pool = [o for o in pool
+                    if not _matches_any_name(o.text, tuple(outlet_names), threshold)]
+        org = next((o for o in pool if _overlaps(o.span, primary.window_span)),
+                   pool[0] if pool else None)
+        if speaker is None or org is None:
+            continue
+        out.append(replace(
+            primary,
+            detectors=frozenset().union(*(c.detectors for c in group)),
+            speaker_text=speaker.text, speaker_span=speaker.span,
+            org_text=org.text, org_span=org.span,
+        ))
+    out.sort(key=lambda c: c.rspeech_span)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+# Quote-dense prose: quotes come alone so their count is often odd, and
+# terminators sit right before closing quotes, after abbreviations and
+# after single-capital initials.
+_BODY_PIECES = [
+    '"', '"', '"', ".", "!", "?", '."', '!"', '?"', '," ', ". ", " ", " ", "  ",
+    "\n", "\t", "Dr.", "Mr.", "U.S.", "Inc.", "No.", "St.", "F.", " J. ", "A.",
+    "Kosygrov.", "The", "Cases", "rose", "said", "she", "x", "9.", "é",
+]
+quote_dense_st = st.lists(st.sampled_from(_BODY_PIECES), max_size=80).map("".join)
+
+# Sentences for the detectors: lexicon phrases (single and multiword, a
+# shared first word, tell-verbs), addressees, capitalized names, quotes.
+_SENTENCE_PIECES = [
+    "said", "Said", "says", "told", "tell", "point", "out", "made", "clear",
+    "in", "a", "statement", "go", "on", "to", "say", "that", "reporters", "him",
+    "Jane", "Doe", "Dr.", "Ann", "Lee", "the", "of", "Harvard", "University",
+    "Fox", "News", "according", "According", "Hoover", "Institution", "it",
+    "cases", "rose", '"', '"', ',"', '."', ",", ".", ";", ":", "!",
+]
+sentence_st = st.lists(
+    st.tuples(st.sampled_from(_SENTENCE_PIECES), st.sampled_from([" ", " ", "", "  "])),
+    max_size=30,
+).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
+# Attributions for the union: several people and orgs per clause, the
+# outlet's own name among them, quoted and unquoted speech.
+_CLAUSE_PIECES = [
+    "Jane Doe", "Dr. Ann Lee", "Ann Lee", "and", "of", "Harvard University",
+    "Fox News", "the Hoover Institution", "said", "told reporters", "says",
+    "according to", '"Cases rose sharply,"', '"The data is clear."',
+    "that cases rose", ",", ".",
+]
+clause_st = st.lists(st.sampled_from(_CLAUSE_PIECES), max_size=16).map(" ".join)
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+
+@settings(max_examples=600, deadline=None)
+@given(quote_dense_st)
+def test_segment_sentences_matches_linear_region_scan(body):
+    assert segment_sentences(body, "a") == reference_segment_sentences(body, "a")
+
+
+@settings(max_examples=600, deadline=None)
+@given(sentence_st)
+def test_clausal_complement_matches_per_call_index(text):
+    for lexicon in (LEXICON, SHARED_LEXICON):
+        sentence = Sentence("a", 0, (0, len(text)), text)
+        assert (detect_clausal_complement(sentence, lexicon)
+                == reference_clausal_complement(sentence, lexicon))
+
+
+def test_clausal_complement_cases_against_reference():
+    cases = [
+        'Jane Doe said in a statement that cases rose.',
+        'Jane Doe said in the lab that cases rose.',
+        '"Jane said it," she said, and Ann Lee made clear it rose.',
+        '"Cases rose," Dr. Ann Lee told reporters that it was bad.',
+        'Ann Lee told Harvard University officials "the data is clear."',
+        '"Ann said" "Lee told" Doe point out "rose twice."',
+        'the staff said it, then Jane Doe went on to say "no."',
+        'Ann Lee go on to say it',
+    ]
+    for text in cases:
+        for lexicon in (LEXICON, SHARED_LEXICON):
+            assert (detect_clausal_complement(text, lexicon)
+                    == reference_clausal_complement(text, lexicon)), text
+    cand = detect_clausal_complement(cases[0], SHARED_LEXICON)
+    assert cand.rverb == "said in a statement"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(clause_st, sentence_st), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_union_and_exclusion_spans_match_per_group_sorting(text, suppress, rnd):
+    persons = find_person_mentions(text, GENDER, STOPLIST, HONORIFICS)
+    shuffled = list(persons)
+    rnd.shuffle(shuffled)
+    for ms in (persons, shuffled):
+        assert (person_exclusion_spans(text, ms, HONORIFICS)
+                == reference_person_exclusion_spans(text, ms, HONORIFICS))
+    orgs = find_org_mentions(
+        text, ORG_NAMES, exclude_spans=person_exclusion_spans(text, persons, HONORIFICS)
+    )
+    cands = run_detectors(text, LEXICON)
+    rnd.shuffle(orgs)
+    assert (union_candidates(cands, shuffled, orgs, OUTLET_NAMES, suppress)
+            == reference_union(cands, shuffled, orgs, OUTLET_NAMES, suppress))
+
+
+class _CountingVerbs(frozenset):
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def test_clausal_complement_never_iterates_the_lexicon():
+    lexicon = ReportingVerbLexicon(verbs=_CountingVerbs(LEXICON.verbs))
+    _CountingVerbs.iterations = 0
+    for text in ('"Cases rose," Dr. Ann Lee said.',
+                 "Jane Doe pointed out that cases rose.",
+                 "nothing to see here"):
+        detect_clausal_complement(text, lexicon)
+    assert _CountingVerbs.iterations == 0
+
+
+def test_lexicon_index_keeps_equality_and_constructor():
+    rebuilt = ReportingVerbLexicon(verbs=frozenset(LEXICON.verbs))
+    assert rebuilt == LEXICON and hash(rebuilt) == hash(LEXICON)
+    assert "phrases" not in repr(rebuilt)
+    assert replace(LEXICON, verbs=SHARED_LEXICON.verbs) == SHARED_LEXICON
+    assert SHARED_LEXICON.phrases["said"] == (
+        ("said", "in", "a", "statement"), ("said", "in"), ("said",)
+    )
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+
+
+def _assert_rejoins(body, sentences):
+    pos, rebuilt = 0, []
+    for k, s in enumerate(sentences):
+        lo, hi = s.span
+        assert s.index == k and pos <= lo < hi <= len(body)
+        assert body[pos:lo].isspace() or pos == lo
+        assert s.text == body[lo:hi]
+        rebuilt += [body[pos:lo], s.text]
+        pos = hi
+    assert body[pos:].isspace() or pos == len(body)
+    rebuilt.append(body[pos:])
+    assert "".join(rebuilt) == body
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), quote_dense_st))
+def test_segment_sentences_fuzz(body):
+    _assert_rejoins(body, segment_sentences(body))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), sentence_st))
+def test_detectors_fuzz(text):
+    found = [
+        detect_direct_pattern(text),
+        detect_clausal_complement(text, LEXICON),
+        detect_according_to(text),
+    ]
+    for cand in found:
+        if cand is None:
+            continue
+        for lo, hi in (cand.rspeech_span, cand.rverb_span, cand.window_span):
+            assert 0 <= lo <= hi <= len(text)
+
+
+# ---------------------------------------------------------------------------
+# scaling
+
+
+def _quote_dense_body(chars: int) -> str:
+    rng = random.Random(0)
+    words = ["Cases", "rose", "Dr.", "Lee", "U.S.", "data", "J.", "fell"]
+    parts, size = [], 0
+    while size < chars:
+        s = '"' + " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        s += rng.choice(".!?") + '"'
+        parts.append(s)
+        size += len(s) + 1
+    return " ".join(parts)
+
+
+class _CountingRegions(list):
+    """A region list that counts every region read, by index or by loop."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        _CountingRegions.reads += 1
+        return super().__getitem__(k)
+
+    def __iter__(self):
+        for region in super().__iter__():
+            _CountingRegions.reads += 1
+            yield region
+
+
+def _region_reads(body: str, monkeypatch) -> int:
+    monkeypatch.setattr(
+        corpus, "_quote_regions", lambda b: _CountingRegions(_quote_regions(b))
+    )
+    _CountingRegions.reads = 0
+    segment_sentences(body)
+    return _CountingRegions.reads
+
+
+def test_segmentation_scales_linearly_with_quote_dense_bodies(monkeypatch):
+    # About 800 quote regions at 10 KB; a per-terminator scan of every
+    # region reads about 16x as many regions for the 4x body.
+    small, large = _quote_dense_body(10_000), _quote_dense_body(40_000)
+    ratio = _region_reads(large, monkeypatch) / _region_reads(small, monkeypatch)
+    assert ratio <= 8.0, f"4x body read {ratio:.1f}x the quote regions"
