@@ -152,8 +152,10 @@ def parse_article_stream(
             stats.total_lines += 1
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                log.warning("%s:%d: skipping malformed line (%s)", p, lineno, exc.msg)
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, an integer too long to convert, or nesting
+                # too deep for the parser
+                log.warning("%s:%d: skipping malformed line (%s)", p, lineno, exc)
                 stats.skipped_malformed += 1
                 continue
             if not isinstance(record, dict):

@@ -420,17 +420,20 @@ def _data_rows(path: Path) -> Iterable[list[str]]:
 def _ranked_rows(path: Path) -> Iterable[tuple[int, str]]:
     """(rank, name) pairs of a ranked gazetteer file.
 
-    A row without a name column or with a non-integer rank raises a
-    ValueError that names the file and the row.
+    A row without a non-empty name or without an integer rank of at least
+    1 raises a ValueError that names the file and the row.
     """
     for row in _data_rows(path):
         try:
-            yield int(row[0]), row[1].strip()
+            rank, name = int(row[0]), row[1].strip()
+            if rank < 1 or not name:
+                raise ValueError
         except (IndexError, ValueError):
             raise ValueError(
                 f"{path}: malformed row {','.join(row)!r} (expected rank,name "
-                "with an integer rank)"
+                "with an integer rank >= 1 and a non-empty name)"
             ) from None
+        yield rank, name
 
 
 def _text_lines(path: Path) -> list[str]:

@@ -120,30 +120,55 @@ class ExpertMention:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ExpertMention":
-        link = None
-        if d.get("org_link") is not None:
-            raw = d["org_link"]
-            rec = OrgRecord(
-                name=raw["name"],
-                org_type=OrgType(raw["org_type"]),
-                world_rank=raw.get("world_rank"),
-                public_health_rank=raw.get("public_health_rank"),
-            )
-            link = OrgLink(mention_text=d["org_text"], record=rec, score=raw["score"])
-        return cls(
-            article_id=d["article_id"],
-            source=d["source"],
-            sentence_index=int(d["sentence_index"]),
-            sentence_text=d["sentence_text"],
-            sentence_char_length=int(d["sentence_char_length"]),
-            speaker_text=d["speaker_text"],
-            gender=GenderLabel(
+        return _mention_from_dict(d, {})
+
+
+def _shared(shared: dict, key: tuple, make: Callable[[], Any]) -> Any:
+    """The value built for ``key`` earlier in ``shared``, else ``make()``."""
+    value = shared.get(key)
+    if value is None:
+        value = shared[key] = make()
+    return value
+
+
+def _mention_from_dict(d: Mapping[str, Any], shared: dict) -> ExpertMention:
+    """``ExpertMention.from_dict`` that reuses, through ``shared``, one
+    OrgRecord, GenderLabel and detector set per distinct value; all three
+    are frozen, so mentions may share them."""
+    link = None
+    if d.get("org_link") is not None:
+        raw = d["org_link"]
+        ranks = (raw.get("world_rank"), raw.get("public_health_rank"))
+        # 1, 1.0 and True are equal keys; keep each rank's type so a shared
+        # record writes back exactly as every line that uses it was read
+        rec = _shared(
+            shared,
+            ("org", raw["name"], raw["org_type"], *ranks, *map(type, ranks)),
+            lambda: OrgRecord(raw["name"], OrgType(raw["org_type"]), *ranks),
+        )
+        link = OrgLink(mention_text=d["org_text"], record=rec, score=raw["score"])
+    return ExpertMention(
+        article_id=d["article_id"],
+        source=d["source"],
+        sentence_index=int(d["sentence_index"]),
+        sentence_text=d["sentence_text"],
+        sentence_char_length=int(d["sentence_char_length"]),
+        speaker_text=d["speaker_text"],
+        gender=_shared(
+            shared,
+            ("gender", d["gender_raw"], d["gender"]),
+            lambda: GenderLabel(
                 raw=RawGender(d["gender_raw"]), merged=MergedGender(d["gender"])
             ),
-            org_text=d["org_text"],
-            org_link=link,
-            detectors=frozenset(Detector(v) for v in d["detectors"]),
-        )
+        ),
+        org_text=d["org_text"],
+        org_link=link,
+        detectors=_shared(
+            shared,
+            ("detectors", *d["detectors"]),
+            lambda: frozenset(Detector(v) for v in d["detectors"]),
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -313,15 +338,22 @@ def write_mentions_jsonl(mentions: Sequence[ExpertMention], path: "str | Path") 
 
 
 def read_mentions_jsonl(path: "str | Path") -> list[ExpertMention]:
+    """Mentions of a ``write_mentions_jsonl`` file, in file order.
+
+    Equal org records, gender labels and detector sets are built once per
+    call and shared.  A malformed line raises a ValueError that names the
+    file and the line.
+    """
     out = []
+    shared: dict = {}
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    out.append(ExpertMention.from_dict(json.loads(line)))
+                    out.append(_mention_from_dict(json.loads(line), shared))
                 except KeyError as exc:
                     raise ValueError(f"{path}:{lineno}: mention lacks {exc}") from None
-                except (AttributeError, TypeError, ValueError) as exc:
+                except (AttributeError, TypeError, ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}:{lineno}: malformed mention: {exc}") from None
     return out
 

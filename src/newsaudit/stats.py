@@ -290,6 +290,11 @@ def welch_t(a: Sample, b: Sample) -> WelchResult:
 # bootstrap
 
 
+#: Resample indices drawn per generator call in ``bootstrap``: 2**20
+#: int64 values (8 MB), rounded down to whole rows but never below one.
+_BLOCK = 1 << 20
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Resampling settings: iteration count, seed, confidence level."""
@@ -329,16 +334,26 @@ def bootstrap(
     make a ratio blow up) are dropped before summarising; if every
     replicate is non-finite a ValueError is raised.  Results are
     bit-reproducible for a fixed configuration.
+
+    Resample indices are drawn in blocks of whole rows, about ``_BLOCK``
+    indices per draw, from the one generator.  The blocks continue its
+    stream, so the replicates equal those of a single (B, n) draw.  Memory
+    beyond the input is bounded by one block, 8 * max(_BLOCK, n) bytes,
+    plus one resample and the B replicate values, whatever B * n.
     """
     arr = np.asarray(list(values), dtype=float)
     n = arr.size
     if n == 0:
         raise ValueError("cannot bootstrap an empty sample")
     rng = np.random.default_rng(config.seed)
-    idx = rng.integers(0, n, size=(config.iterations, n))
     out = np.empty(config.iterations, dtype=float)
-    for i in range(config.iterations):
-        out[i] = statistic(arr[idx[i]])
+    rows = max(1, _BLOCK // n)
+    for start in range(0, config.iterations, rows):
+        stop = min(start + rows, config.iterations)
+        # no name holds the block, so it is freed before the next is drawn
+        out[start:stop] = [
+            statistic(arr[row]) for row in rng.integers(0, n, size=(stop - start, n))
+        ]
     finite = out[np.isfinite(out)]
     if finite.size == 0:
         raise ValueError("all bootstrap replicates were non-finite")

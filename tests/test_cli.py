@@ -191,8 +191,42 @@ def test_mentions_line_not_an_object_exits_cleanly(tmp_path, caplog):
     assert f"{mentions}:1:" in caplog.records[-1].getMessage()
 
 
+# 200,000 open brackets: json.loads raises RecursionError, not JSONDecodeError
+DEEPLY_NESTED = "[" * 200_000
+
+
+def test_deeply_nested_corpus_line_is_skipped(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        Path(CORPUS).read_text(encoding="utf-8") + DEEPLY_NESTED + "\n", encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    code = main(["audit", "--corpus", str(corpus), "--sources", SOURCES,
+                 "--out", str(out), "--formats", "json"])
+    assert code == EXIT_OK
+    ingest = json.loads((out / "report.json").read_text(encoding="utf-8"))["corpus"]["ingest"]
+    assert ingest["articles"] == 20 and ingest["skipped_malformed"] == 1
+
+
+def test_deeply_nested_mentions_line_exits_cleanly(tmp_path, caplog):
+    ext = tmp_path / "ext"
+    assert main(["extract", "--corpus", CORPUS, "--sources", SOURCES,
+                 "--out", str(ext)]) == EXIT_OK
+    lines = (ext / "mentions.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[1] = DEEPLY_NESTED
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["stats", "--mentions", str(mentions), "--sources", SOURCES,
+                 "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert code == EXIT_FATAL
+    message = caplog.records[-1].getMessage()
+    assert message.startswith(f"{mentions}:2: malformed mention")
+
+
 @pytest.mark.parametrize("filename", ["universities.csv", "public_health.csv"])
-@pytest.mark.parametrize("row", ["7", "seven,Northfield University"])
+@pytest.mark.parametrize(
+    "row", ["7", "seven,Northfield University", "7,", "0,Zeta University"]
+)
 def test_malformed_gazetteer_row_exits_cleanly(tmp_path, caplog, filename, row):
     gaz = tmp_path / "gazetteers"
     shutil.copytree(default_gazetteer_dir(), gaz)

@@ -97,6 +97,50 @@ def test_parse_bad_timestamp_skipped(tmp_path):
     assert stats.skipped_malformed == 1
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+# a record whose fields may be missing, mistyped or nested; ids repeat
+_RECORDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.sampled_from(["a1", "a2", ""]) | _JSON,
+        "source": st.just("nyt") | _JSON,
+        "published_at": st.just(GOOD["published_at"]) | st.text(max_size=25) | _JSON,
+        "title": st.just("t") | _JSON,
+        "body": st.just("b") | _JSON,
+        "extra": _JSON,
+    },
+)
+_LINES = st.lists(
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=30)
+    | _JSON.map(json.dumps)
+    | _RECORDS.map(json.dumps),
+    max_size=8,
+)
+
+
+@given(lines=_LINES)
+@example(lines=["[" * 200_000, '{"id": ' + "1" * 5000 + "}", "{}", "[]", "null"])
+@example(lines=[json.dumps(GOOD), json.dumps(dict(GOOD, body=["x", {"y": 1}]))])
+@settings(max_examples=200, deadline=None)
+def test_parse_article_stream_fuzz(tmp_path_factory, lines):
+    f = tmp_path_factory.mktemp("fuzz") / "c.jsonl"
+    f.write_text("\n".join(lines), encoding="utf-8")
+    stats = IngestStats()
+    arts = list(parse_article_stream(f, stats))
+    assert len(arts) == stats.articles
+    assert len({a.id for a in arts}) == len(arts)
+    assert all(a.id and isinstance(a.body, str) for a in arts)
+    assert stats.total_lines == (
+        stats.articles + stats.skipped_malformed
+        + stats.skipped_missing_fields + stats.skipped_duplicate_id
+    )
+
+
 def test_parse_missing_file_fatal(tmp_path):
     with pytest.raises(FileNotFoundError):
         list(parse_article_stream(tmp_path / "absent.jsonl"))

@@ -331,6 +331,46 @@ def test_mentions_jsonl_round_trip(report, tmp_path):
     assert [as_gold_row(m) for m in back] == [as_gold_row(m) for m in report.mentions]
 
 
+def test_read_mentions_shares_equal_values(report, tmp_path):
+    p1 = write_mentions_jsonl(report.mentions, tmp_path / "m1.jsonl")
+    back = read_mentions_jsonl(p1)
+    assert write_mentions_jsonl(back, tmp_path / "m2.jsonl").read_bytes() == p1.read_bytes()
+    first = {}
+    shared_records = 0
+    for m in back:
+        values = [m.gender, m.detectors]
+        if m.org_link is not None:
+            values.append(m.org_link.record)
+            shared_records += m.org_link.record in first
+        for v in values:
+            assert first.setdefault(v, v) is v
+    assert shared_records > 0
+
+
+def test_read_mentions_keeps_distinct_records_apart(report, tmp_path):
+    base = next(m.to_dict() for m in report.mentions
+                if m.org_link is not None and m.org_link.record.world_rank is not None)
+    link = base["org_link"]
+    variants = [
+        link,
+        {**link, "world_rank": link["world_rank"] + 1},
+        # equal to the first as a number, but written back as a float
+        {**link, "world_rank": float(link["world_rank"])},
+        {**link, "org_type": "federal", "world_rank": None, "public_health_rank": None},
+    ]
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        "".join(json.dumps({**base, "org_link": v}, sort_keys=True) + "\n" for v in variants * 2),
+        encoding="utf-8",
+    )
+    back = read_mentions_jsonl(path)
+    records = [m.org_link.record for m in back]
+    assert len({id(r) for r in records}) == len(variants)
+    assert all(a is b for a, b in zip(records, records[len(variants):]))
+    again = write_mentions_jsonl(back, tmp_path / "again.jsonl")
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_mention_to_dict_round_trip(report):
     for m in report.mentions:
         assert ExpertMention.from_dict(m.to_dict()) == m

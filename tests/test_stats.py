@@ -6,6 +6,8 @@ inputs, and against scipy as an external oracle (test-only dependency).
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsaudit import stats
+from newsaudit.report import _ratio_statistic
 from newsaudit.stats import (
     BootstrapConfig,
     BootstrapResult,
@@ -340,6 +344,78 @@ def test_bootstrap_all_non_finite_rejected():
 def test_bootstrap_empty_data_rejected():
     with pytest.raises(ValueError):
         bootstrap([], lambda s: 0.0, BootstrapConfig(seed=0))
+
+
+def _bootstrap_one_shot(values, statistic, config):
+    # The bootstrap before resamples were drawn in blocks, kept verbatim as
+    # the reference: one (B, n) index matrix from the seeded generator.
+    arr = np.asarray(list(values), dtype=float)
+    n = arr.size
+    if n == 0:
+        raise ValueError("cannot bootstrap an empty sample")
+    rng = np.random.default_rng(config.seed)
+    idx = rng.integers(0, n, size=(config.iterations, n))
+    out = np.empty(config.iterations, dtype=float)
+    for i in range(config.iterations):
+        out[i] = statistic(arr[idx[i]])
+    finite = out[np.isfinite(out)]
+    if finite.size == 0:
+        raise ValueError("all bootstrap replicates were non-finite")
+    alpha = (1.0 - config.confidence) / 2.0
+    lo, hi = np.quantile(finite, [alpha, 1.0 - alpha])
+    return BootstrapResult(
+        mean=float(np.mean(finite)),
+        std=float(np.std(finite)),
+        ci_low=float(lo),
+        ci_high=float(hi),
+        iterations=config.iterations,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    iterations=st.integers(1, 300),
+    block=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    ratio=st.booleans(),
+    men_share=st.floats(0.0, 1.0),
+)
+def test_bootstrap_blocks_match_one_shot_draw(n, iterations, block, seed, ratio, men_share):
+    # Small blocks that do not divide B, and n beyond one block (one row a
+    # draw), must continue the generator's stream exactly.  The ratio
+    # statistic on a woman-indicator sample with few men yields inf
+    # replicates, and none at all makes every replicate inf.
+    data_rng = np.random.default_rng(seed)
+    if ratio:
+        data = (data_rng.random(n) >= men_share).astype(float)
+        statistic = _ratio_statistic
+    else:
+        data = data_rng.normal(size=n)
+        statistic = lambda s: float(np.mean(s))
+    config = BootstrapConfig(iterations=iterations, seed=seed)
+    with mock.patch.object(stats, "_BLOCK", block):
+        got = _outcome(bootstrap, data, statistic, config)
+    assert got == _outcome(_bootstrap_one_shot, data, statistic, config)
+
+
+def test_bootstrap_memory_is_bounded_by_the_block():
+    # B * n = 10**7 draws: a (B, n) int64 index matrix alone is 80 MB.
+    data = rng.random(100_000).tolist()
+    tracemalloc.start()
+    try:
+        bootstrap(data, lambda s: float(np.mean(s)), BootstrapConfig(iterations=100, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stats._BLOCK * 8 + 8 * len(data) * 8
 
 
 def test_bootstrap_config_validation():
