@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .corpus import load_source_config
 from .report import (
+    _FORMATS,
     AuditConfig,
     build_report,
     emit,
@@ -87,7 +88,7 @@ def _config_from(args: argparse.Namespace) -> AuditConfig:
 
 def _parse_formats(raw: str) -> set:
     formats = {f.strip() for f in raw.split(",") if f.strip()}
-    unknown = formats - {"json", "csv", "svg"}
+    unknown = formats - _FORMATS
     if unknown:
         raise ValueError(f"unknown formats: {sorted(unknown)}")
     if not formats:
@@ -162,9 +163,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     sources = load_source_config(args.sources)
     resources = load_resources(args.gazetteers)
-    suppression = not (args.no_outlet_suppression or args.paper_faithful)
+    config = _config_from(args)
     mentions, _ = extract_mentions(
-        args.corpus, sources, resources, outlet_suppression=suppression
+        args.corpus, sources, resources, outlet_suppression=config.outlet_suppression
     )
     mentions.sort(key=mention_sort_key)
     out = Path(args.out)

@@ -71,7 +71,11 @@ class SourceConfig:
 
 def load_source_config(path: "str | Path") -> SourceConfig:
     """Read the outlet config JSON: key -> display_name/ideology/self_org_names."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nested too deeply; ValueError: also an over-long integer
+        raise ValueError(f"{path}: not a JSON outlet config: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object of outlets")
     outlets = {}

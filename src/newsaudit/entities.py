@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .orglink import MATCH_THRESHOLD, NameIndex
+from .orglink import MATCH_THRESHOLD, NameIndex, _text_lines
 from .orglink import token_set_similarity  # noqa: F401  (callers look it up here)
 
 # Word tokens keep internal apostrophes and hyphens ("O'Brien", "Inter-American").
@@ -47,9 +47,14 @@ _EXTRA_ORG_HEADS = (
     "Bureau", "Office", "Organization", "Organisation", "Trust",
 )
 
-_ORG_HEAD_TOKENS = frozenset(
-    [w for c in ORG_CUES + _EXTRA_ORG_HEADS for w in (c, c + "s")]
-)
+
+def _with_plurals(words: Sequence[str]) -> frozenset[str]:
+    """The words, each also with a trailing plural "s"."""
+    return frozenset([w for c in words for w in (c, c + "s")])
+
+
+_CUES_WITH_PLURALS = _with_plurals(ORG_CUES)
+_ORG_HEAD_TOKENS = _with_plurals(ORG_CUES + _EXTRA_ORG_HEADS)
 
 #: Longest capitalized run accepted as a person name.
 MAX_NAME_TOKENS = 4
@@ -58,8 +63,7 @@ _PERSON_GAP = re.compile(r"^\.?\s*$")
 _ORG_GAP = re.compile(r"^[.\-]?\s*$")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     start: int
     end: int
@@ -135,43 +139,29 @@ def _default_data(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
+def _label_rows(
+    path: Path, column: str, key: Callable[[str], str]
+) -> dict[str, RawGender]:
+    """``column<TAB>label`` rows of a TSV file, keyed by ``key(column)``."""
+    out: dict[str, RawGender] = {}
+    for lineno, line in _text_lines(path):
+        name, _, label = line.partition("\t")
+        if not label:
+            raise ValueError(f"{path}:{lineno}: expected {column}<TAB>label")
+        out[key(name.strip())] = RawGender(label.strip())
+    return out
+
+
 def load_gender_dict(path: "str | Path | None" = None) -> dict[str, RawGender]:
     """first_name<TAB>label rows; keys are casefolded first names."""
     p = Path(path) if path is not None else _default_data("names_gender.tsv")
-    out: dict[str, RawGender] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, label = line.partition("\t")
-        if not label:
-            raise ValueError(f"{p}:{lineno}: expected name<TAB>label")
-        out[name.strip().casefold()] = RawGender(label.strip())
-    return out
+    return _label_rows(p, "name", str.casefold)
 
 
 def load_overrides(path: "str | Path | None" = None) -> dict[str, RawGender]:
     """full_name<TAB>label rows; keys are exact, case-sensitive strings."""
     p = Path(path) if path is not None else _default_data("manual_overrides.tsv")
-    out: dict[str, RawGender] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, label = line.partition("\t")
-        if not label:
-            raise ValueError(f"{p}:{lineno}: expected full_name<TAB>label")
-        out[name.strip()] = RawGender(label.strip())
-    return out
-
-
-def _load_lines(path: Path) -> list[str]:
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    return _label_rows(p, "full_name", str)
 
 
 def load_honorifics(path: "str | Path | None" = None) -> frozenset[str]:
@@ -181,13 +171,13 @@ def load_honorifics(path: "str | Path | None" = None) -> frozenset[str]:
     word tokens; matching is case-sensitive.
     """
     p = Path(path) if path is not None else _default_data("honorifics.txt")
-    return frozenset(e[:-1] if e.endswith(".") else e for e in _load_lines(p))
+    return frozenset(e[:-1] if e.endswith(".") else e for _, e in _text_lines(p))
 
 
 def load_stoplist(path: "str | Path | None" = None) -> frozenset[str]:
     """Casefolded function words that never start a sentence-initial name."""
     p = Path(path) if path is not None else _default_data("stoplist.txt")
-    return frozenset(e.casefold() for e in _load_lines(p))
+    return frozenset(e.casefold() for _, e in _text_lines(p))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +279,6 @@ def _gap(text: str, left: _Token, right: _Token, pattern: re.Pattern) -> bool:
 # org mentions
 
 
-def _cue_tokens() -> frozenset[str]:
-    base = set(ORG_CUES)
-    base.update(c + "s" for c in ORG_CUES)
-    return frozenset(base)
-
-
-_CUES_WITH_PLURALS = _cue_tokens()
-
-
 @lru_cache(maxsize=16)
 def _name_index(names: tuple[str, ...]) -> NameIndex:
     return NameIndex(names)
@@ -314,7 +295,6 @@ def find_org_mentions(
     sentence,
     gazetteer_names: Sequence[str],
     exclude_spans: Sequence[tuple[int, int]] = (),
-    cues: Sequence[str] = ORG_CUES,
 ) -> list[OrgMention]:
     """Capitalized runs that look like organization names.
 
@@ -330,9 +310,6 @@ def find_org_mentions(
     threshold.  Mentions of fewer than three characters are dropped.
     """
     text = getattr(sentence, "text", sentence)
-    cue_set = _CUES_WITH_PLURALS if tuple(cues) == ORG_CUES else frozenset(
-        list(cues) + [c + "s" for c in cues]
-    )
     names_t = tuple(gazetteer_names)
     toks = _tokens(text)
     mentions: list[OrgMention] = []
@@ -363,7 +340,7 @@ def find_org_mentions(
         if len(mention_text.strip()) < 3:
             return
         if not (
-            any(t.text in cue_set for t in items)
+            any(t.text in _CUES_WITH_PLURALS for t in items)
             or _matches_any_name(mention_text, names_t)
         ):
             return

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 from .corpus import _enclosing_region, _quote_regions
 from .entities import OrgMention, PersonMention, _is_cap, _matches_any_name, _tokens
-from .orglink import MATCH_THRESHOLD
+from .orglink import MATCH_THRESHOLD, _text_lines
 
 
 class Detector(str, Enum):
@@ -97,12 +97,7 @@ def load_reporting_verbs(path: "str | Path | None" = None) -> ReportingVerbLexic
         if path is not None
         else Path(__file__).parent / "data" / "reporting_verbs.txt"
     )
-    verbs = set()
-    for line in p.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            verbs.add(line)
-    return ReportingVerbLexicon(verbs=frozenset(verbs))
+    return ReportingVerbLexicon(verbs=frozenset(line for _, line in _text_lines(p)))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -436,13 +436,13 @@ def _ranked_rows(path: Path) -> Iterable[tuple[int, str]]:
         yield rank, name
 
 
-def _text_lines(path: Path) -> list[str]:
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of a text data file, skipping blank and
+    '#' comment lines; the numbers count every line of the file."""
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            out.append(line)
-    return out
+            yield lineno, line
 
 
 def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
@@ -496,7 +496,7 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
 
     records = list(academics)
     seen = set()
-    for name in _text_lines(d / "federal.txt"):
+    for _, name in _text_lines(d / "federal.txt"):
         if name.casefold() in seen:
             log.warning("duplicate federal agency %r ignored", name)
             continue

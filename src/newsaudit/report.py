@@ -19,7 +19,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import figures, stats
 from .corpus import (
@@ -855,6 +855,10 @@ def run_audit(
 # emission
 
 
+#: The artifact formats ``emit`` writes.
+_FORMATS = frozenset({"json", "csv", "svg"})
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     with path.open("w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
@@ -864,218 +868,139 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
     return path
 
 
+def _composition_rows(comp: dict) -> Iterator[list]:
+    for scope in ("mentions", "unique_experts"):
+        block, counts = comp[scope], comp[scope]["counts"]
+        yield [scope, block["man_share"], block["woman_share"],
+               counts["Man"], counts["Woman"], counts["Unknown"]]
+
+
+def _gender_by_org_type_rows(section: dict) -> Iterator[list]:
+    for org_type, block in section.items():
+        for gender in ("Man", "Woman", "Unknown"):
+            bs = block["bootstrap"][gender]
+            yield [org_type, gender, block["n"], block["shares"][gender],
+                   bs.get("ci_low"), bs.get("ci_high")]
+
+
+def _org_type_by_outlet_rows(section: dict) -> Iterator[list]:
+    for outlet, block in section.items():
+        shares = block["shares"]
+        yield [outlet, block["ideology"], block["n_linked"],
+               shares["academic"], shares["federal"], shares["think_tank"]]
+
+
+def _outlet_ratio_rows(section: dict) -> Iterator[list]:
+    for outlet, block in section.items():
+        bs = block["bootstrap"]
+        yield [outlet, block["ideology"], block["n_men"], block["n_women"],
+               block["ratio"], bs.get("ci_low"), bs.get("ci_high")]
+
+
+def _rank_scopes(rank: dict) -> "list[tuple[str, dict]]":
+    """The rank-attention blocks under their CSV scope names, in table order."""
+    return [
+        ("overall", rank["overall"]),
+        ("left", rank["by_ideology"]["left"]),
+        ("right", rank["by_ideology"]["right"]),
+        ("man", rank["by_gender"]["Man"]),
+        ("woman", rank["by_gender"]["Woman"]),
+        ("public_health", rank["public_health"]),
+    ]
+
+
+def _rank_summary_rows(rank: dict) -> Iterator[list]:
+    for scope, block in _rank_scopes(rank):
+        yield [scope, block["n_institutions"], block["mentions"],
+               block["gini"], block["spearman"]]
+
+
+def _rank_count_rows(rank: dict) -> Iterator[list]:
+    for scope, block in _rank_scopes(rank):
+        for r, c in block["counts_by_rank"].items():
+            yield [scope, int(r), c]
+
+
+def _cumulative_rows(rank: dict) -> Iterator[list]:
+    cum = rank["cumulative_by_gender"]
+    for gender in ("Man", "Woman"):
+        for cut, share in zip(cum["cut_points"], cum[gender]["shares"] or ()):
+            yield [gender, cut, share]
+
+
+def _binned_rows(rank: dict) -> Iterator[list]:
+    binned = rank["binned_by_ideology"]
+    width, shares = binned["bin_width"], binned["shares"]
+    if shares:
+        for i, (left, right) in enumerate(zip(shares["left"], shares["right"])):
+            yield [i * width + 1, (i + 1) * width, left, right]
+
+
+def _sentence_length_rows(sl: dict) -> list:
+    return [["Man", sl["men"]["n"], sl["men"]["mean_chars"]],
+            ["Woman", sl["women"]["n"], sl["women"]["mean_chars"]]]
+
+
+def _co_mention_rows(co: dict) -> list:
+    return [[co["man_sentences"], co["woman_sentences"], co["mixed_sentences"],
+             co["p_man_given_woman_sentence"], co["p_woman_given_man_sentence"]]]
+
+
+def _totals_rows(totals: dict) -> list:
+    return [[totals["mentions"], totals["unique_experts"],
+             totals["unknown_fraction_pre_merge"], totals["unknown_fraction_post_merge"],
+             totals["women_men"]["ratio"]]]
+
+
+#: The CSV tables in emission order: (file stem, report section, header, rows
+#: of the section).  A null section writes the header only.
+_CSV_TABLES = (
+    ("gender_composition", "gender_composition",
+     ("scope", "man_share", "woman_share", "n_man", "n_woman", "n_unknown"),
+     _composition_rows),
+    ("gender_by_org_type", "gender_by_org_type",
+     ("org_type", "gender", "n", "share", "ci_low", "ci_high"),
+     _gender_by_org_type_rows),
+    ("org_type_by_outlet", "org_type_by_outlet",
+     ("outlet", "ideology", "n_linked", "academic", "federal", "think_tank"),
+     _org_type_by_outlet_rows),
+    ("outlet_ratios", "outlet_ratios",
+     ("outlet", "ideology", "n_men", "n_women", "ratio", "ci_low", "ci_high"),
+     _outlet_ratio_rows),
+    ("rank_attention_summary", "rank_attention",
+     ("scope", "n_institutions", "mentions", "gini", "spearman"),
+     _rank_summary_rows),
+    ("rank_attention_counts", "rank_attention",
+     ("scope", "rank", "mentions"),
+     _rank_count_rows),
+    ("cumulative_attention", "rank_attention",
+     ("gender", "top_n", "share"),
+     _cumulative_rows),
+    ("binned_attention", "rank_attention",
+     ("rank_from", "rank_to", "left_share", "right_share"),
+     _binned_rows),
+    ("sentence_length", "sentence_length",
+     ("gender", "n", "mean_chars"),
+     _sentence_length_rows),
+    ("co_mention", "co_mention",
+     ("man_sentences", "woman_sentences", "mixed_sentences",
+      "p_man_given_woman_sentence", "p_woman_given_man_sentence"),
+     _co_mention_rows),
+    ("provenance", "provenance",
+     ("combo", "mentions"),
+     lambda prov: sorted(prov["by_combo"].items())),
+    ("totals", "totals",
+     ("mentions", "unique_experts", "unknown_fraction_pre_merge",
+      "unknown_fraction_post_merge", "women_men_ratio"),
+     _totals_rows),
+)
+
+
 def _csv_tables(report: AuditReport, out: Path) -> list[Path]:
-    d = report.data
     written = []
-
-    def table(name: str, header, rows) -> None:
-        written.append(_write_csv(out / f"{name}.csv", header, rows))
-
-    comp = d.get("gender_composition")
-    table(
-        "gender_composition",
-        ["scope", "man_share", "woman_share", "n_man", "n_woman", "n_unknown"],
-        []
-        if not comp
-        else [
-            [
-                scope,
-                comp[scope]["man_share"],
-                comp[scope]["woman_share"],
-                comp[scope]["counts"]["Man"],
-                comp[scope]["counts"]["Woman"],
-                comp[scope]["counts"]["Unknown"],
-            ]
-            for scope in ("mentions", "unique_experts")
-        ],
-    )
-
-    gbo = d.get("gender_by_org_type")
-    rows = []
-    if gbo:
-        for org_type, block in gbo.items():
-            for gender in ("Man", "Woman", "Unknown"):
-                bs = block["bootstrap"][gender]
-                rows.append(
-                    [
-                        org_type,
-                        gender,
-                        block["n"],
-                        block["shares"][gender],
-                        bs.get("ci_low"),
-                        bs.get("ci_high"),
-                    ]
-                )
-    table(
-        "gender_by_org_type",
-        ["org_type", "gender", "n", "share", "ci_low", "ci_high"],
-        rows,
-    )
-
-    obo = d.get("org_type_by_outlet")
-    table(
-        "org_type_by_outlet",
-        ["outlet", "ideology", "n_linked", "academic", "federal", "think_tank"],
-        []
-        if not obo
-        else [
-            [
-                outlet,
-                block["ideology"],
-                block["n_linked"],
-                block["shares"]["academic"],
-                block["shares"]["federal"],
-                block["shares"]["think_tank"],
-            ]
-            for outlet, block in obo.items()
-        ],
-    )
-
-    ratios = d.get("outlet_ratios")
-    table(
-        "outlet_ratios",
-        ["outlet", "ideology", "n_men", "n_women", "ratio", "ci_low", "ci_high"],
-        []
-        if not ratios
-        else [
-            [
-                outlet,
-                block["ideology"],
-                block["n_men"],
-                block["n_women"],
-                block["ratio"],
-                block["bootstrap"].get("ci_low"),
-                block["bootstrap"].get("ci_high"),
-            ]
-            for outlet, block in ratios.items()
-        ],
-    )
-
-    rank = d.get("rank_attention")
-    scatter_rows = []
-    summary_rows = []
-    if rank:
-        scopes = [
-            ("overall", rank["overall"]),
-            ("left", rank["by_ideology"]["left"]),
-            ("right", rank["by_ideology"]["right"]),
-            ("man", rank["by_gender"]["Man"]),
-            ("woman", rank["by_gender"]["Woman"]),
-            ("public_health", rank["public_health"]),
-        ]
-        for scope, block in scopes:
-            summary_rows.append(
-                [
-                    scope,
-                    block["n_institutions"],
-                    block["mentions"],
-                    block["gini"],
-                    block["spearman"],
-                ]
-            )
-            for r, c in block["counts_by_rank"].items():
-                scatter_rows.append([scope, int(r), c])
-    table(
-        "rank_attention_summary",
-        ["scope", "n_institutions", "mentions", "gini", "spearman"],
-        summary_rows,
-    )
-    table("rank_attention_counts", ["scope", "rank", "mentions"], scatter_rows)
-
-    cum_rows = []
-    if rank:
-        cum = rank["cumulative_by_gender"]
-        for gender in ("Man", "Woman"):
-            shares = cum[gender]["shares"]
-            if shares:
-                for cut, share in zip(cum["cut_points"], shares):
-                    cum_rows.append([gender, cut, share])
-    table("cumulative_attention", ["gender", "top_n", "share"], cum_rows)
-
-    bin_rows = []
-    if rank and rank["binned_by_ideology"]["shares"]:
-        width = rank["binned_by_ideology"]["bin_width"]
-        shares = rank["binned_by_ideology"]["shares"]
-        n_bins = len(next(iter(shares.values())))
-        for i in range(n_bins):
-            bin_rows.append(
-                [
-                    i * width + 1,
-                    (i + 1) * width,
-                    shares["left"][i],
-                    shares["right"][i],
-                ]
-            )
-    table(
-        "binned_attention",
-        ["rank_from", "rank_to", "left_share", "right_share"],
-        bin_rows,
-    )
-
-    sl = d.get("sentence_length")
-    table(
-        "sentence_length",
-        ["gender", "n", "mean_chars"],
-        []
-        if not sl
-        else [
-            ["Man", sl["men"]["n"], sl["men"]["mean_chars"]],
-            ["Woman", sl["women"]["n"], sl["women"]["mean_chars"]],
-        ],
-    )
-
-    co = d.get("co_mention")
-    table(
-        "co_mention",
-        [
-            "man_sentences",
-            "woman_sentences",
-            "mixed_sentences",
-            "p_man_given_woman_sentence",
-            "p_woman_given_man_sentence",
-        ],
-        []
-        if not co
-        else [
-            [
-                co["man_sentences"],
-                co["woman_sentences"],
-                co["mixed_sentences"],
-                co["p_man_given_woman_sentence"],
-                co["p_woman_given_man_sentence"],
-            ]
-        ],
-    )
-
-    prov = d.get("provenance")
-    table(
-        "provenance",
-        ["combo", "mentions"],
-        [] if not prov else sorted(prov["by_combo"].items()),
-    )
-
-    totals = d.get("totals")
-    table(
-        "totals",
-        [
-            "mentions",
-            "unique_experts",
-            "unknown_fraction_pre_merge",
-            "unknown_fraction_post_merge",
-            "women_men_ratio",
-        ],
-        []
-        if not totals
-        else [
-            [
-                totals["mentions"],
-                totals["unique_experts"],
-                totals["unknown_fraction_pre_merge"],
-                totals["unknown_fraction_post_merge"],
-                totals["women_men"]["ratio"],
-            ]
-        ],
-    )
+    for stem, section, header, rows in _CSV_TABLES:
+        block = report.data.get(section)
+        written.append(_write_csv(out / f"{stem}.csv", header, rows(block) if block else ()))
     return written
 
 
@@ -1091,7 +1016,7 @@ def emit(
     standalone figure with no external references.
     """
     fmts = set(formats)
-    unknown = fmts - {"json", "csv", "svg"}
+    unknown = fmts - _FORMATS
     if unknown:
         raise ValueError(f"unknown formats: {sorted(unknown)}")
     out = Path(out_dir)

@@ -208,6 +208,20 @@ def test_deeply_nested_corpus_line_is_skipped(tmp_path):
     assert ingest["articles"] == 20 and ingest["skipped_malformed"] == 1
 
 
+@pytest.mark.parametrize(
+    "text", [DEEPLY_NESTED, '{"nyt": ' + "9" * 5000 + "}"], ids=["nested", "long-int"]
+)
+def test_unparseable_sources_exits_cleanly(tmp_path, caplog, text):
+    path = tmp_path / "sources.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["audit", "--corpus", CORPUS, "--sources", str(path),
+                 "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert code == EXIT_FATAL
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    message = record.getMessage()
+    assert message.startswith(f"{path}: ") and "\n" not in message
+
+
 def test_deeply_nested_mentions_line_exits_cleanly(tmp_path, caplog):
     ext = tmp_path / "ext"
     assert main(["extract", "--corpus", CORPUS, "--sources", SOURCES,

@@ -25,6 +25,7 @@ from newsaudit.entities import (
     person_exclusion_spans,
     resolve_unique_experts,
 )
+from newsaudit.extract import REQUIRED_VERBS, load_reporting_verbs
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +81,27 @@ def test_stoplist_is_casefolded(stop):
     assert all(s == s.casefold() for s in stop)
 
 
-def test_malformed_gender_row_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "loader, column",
+    [(load_gender_dict, "name"), (load_overrides, "full_name")],
+    ids=["gender_dict", "overrides"],
+)
+def test_malformed_gender_row_rejected(tmp_path, loader, column):
     p = tmp_path / "bad.tsv"
-    p.write_text("alice female\n")  # space, not tab
-    with pytest.raises(ValueError):
-        load_gender_dict(p)
+    p.write_text("# comment\n\nalice female\n")  # space, not tab
+    with pytest.raises(ValueError) as exc:
+        loader(p)
+    assert str(exc.value) == f"{p}:3: expected {column}<TAB>label"
+
+
+def test_comment_and_blank_lines_are_skipped(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("# comment\n\n  Dr.  \n  # indented comment\nNot\n")
+    assert load_honorifics(words) == {"Dr", "Not"}
+    assert load_stoplist(words) == {"dr.", "not"}
+    verbs = tmp_path / "verbs.txt"
+    verbs.write_text("# comment\n\n" + "\n".join(sorted(REQUIRED_VERBS)) + "\n  # x\n warned \n")
+    assert load_reporting_verbs(verbs).verbs == REQUIRED_VERBS | {"warned"}
 
 
 def test_unknown_label_rejected(tmp_path):

@@ -6,18 +6,25 @@ serialization) to exactly those values.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from newsaudit import stats
 from newsaudit.corpus import load_source_config, parse_article_stream, segment_sentences
+from newsaudit.entities import MergedGender
 from newsaudit.extract import run_detectors
 from newsaudit.report import (
     AuditConfig,
+    AuditReport,
     ExpertMention,
+    _csv_tables,
+    _write_csv,
+    build_report,
     emit,
     extract_mentions,
     fixture_dir,
@@ -422,6 +429,266 @@ def test_rank_attention_csv_matches_gold(report, tmp_path):
     overall = {r["rank"]: int(r["mentions"]) for r in rows
                if r["scope"] == "overall" and int(r["mentions"]) > 0}
     assert overall == GOLD["world_rank_counts"]
+
+
+# The CSV emitter as it was before the tables became one spec, kept verbatim
+# as the reference the table spec must reproduce byte for byte.
+
+
+def reference_csv_tables(report: AuditReport, out: Path) -> list[Path]:
+    d = report.data
+    written = []
+
+    def table(name: str, header, rows) -> None:
+        written.append(_write_csv(out / f"{name}.csv", header, rows))
+
+    comp = d.get("gender_composition")
+    table(
+        "gender_composition",
+        ["scope", "man_share", "woman_share", "n_man", "n_woman", "n_unknown"],
+        []
+        if not comp
+        else [
+            [
+                scope,
+                comp[scope]["man_share"],
+                comp[scope]["woman_share"],
+                comp[scope]["counts"]["Man"],
+                comp[scope]["counts"]["Woman"],
+                comp[scope]["counts"]["Unknown"],
+            ]
+            for scope in ("mentions", "unique_experts")
+        ],
+    )
+
+    gbo = d.get("gender_by_org_type")
+    rows = []
+    if gbo:
+        for org_type, block in gbo.items():
+            for gender in ("Man", "Woman", "Unknown"):
+                bs = block["bootstrap"][gender]
+                rows.append(
+                    [
+                        org_type,
+                        gender,
+                        block["n"],
+                        block["shares"][gender],
+                        bs.get("ci_low"),
+                        bs.get("ci_high"),
+                    ]
+                )
+    table(
+        "gender_by_org_type",
+        ["org_type", "gender", "n", "share", "ci_low", "ci_high"],
+        rows,
+    )
+
+    obo = d.get("org_type_by_outlet")
+    table(
+        "org_type_by_outlet",
+        ["outlet", "ideology", "n_linked", "academic", "federal", "think_tank"],
+        []
+        if not obo
+        else [
+            [
+                outlet,
+                block["ideology"],
+                block["n_linked"],
+                block["shares"]["academic"],
+                block["shares"]["federal"],
+                block["shares"]["think_tank"],
+            ]
+            for outlet, block in obo.items()
+        ],
+    )
+
+    ratios = d.get("outlet_ratios")
+    table(
+        "outlet_ratios",
+        ["outlet", "ideology", "n_men", "n_women", "ratio", "ci_low", "ci_high"],
+        []
+        if not ratios
+        else [
+            [
+                outlet,
+                block["ideology"],
+                block["n_men"],
+                block["n_women"],
+                block["ratio"],
+                block["bootstrap"].get("ci_low"),
+                block["bootstrap"].get("ci_high"),
+            ]
+            for outlet, block in ratios.items()
+        ],
+    )
+
+    rank = d.get("rank_attention")
+    scatter_rows = []
+    summary_rows = []
+    if rank:
+        scopes = [
+            ("overall", rank["overall"]),
+            ("left", rank["by_ideology"]["left"]),
+            ("right", rank["by_ideology"]["right"]),
+            ("man", rank["by_gender"]["Man"]),
+            ("woman", rank["by_gender"]["Woman"]),
+            ("public_health", rank["public_health"]),
+        ]
+        for scope, block in scopes:
+            summary_rows.append(
+                [
+                    scope,
+                    block["n_institutions"],
+                    block["mentions"],
+                    block["gini"],
+                    block["spearman"],
+                ]
+            )
+            for r, c in block["counts_by_rank"].items():
+                scatter_rows.append([scope, int(r), c])
+    table(
+        "rank_attention_summary",
+        ["scope", "n_institutions", "mentions", "gini", "spearman"],
+        summary_rows,
+    )
+    table("rank_attention_counts", ["scope", "rank", "mentions"], scatter_rows)
+
+    cum_rows = []
+    if rank:
+        cum = rank["cumulative_by_gender"]
+        for gender in ("Man", "Woman"):
+            shares = cum[gender]["shares"]
+            if shares:
+                for cut, share in zip(cum["cut_points"], shares):
+                    cum_rows.append([gender, cut, share])
+    table("cumulative_attention", ["gender", "top_n", "share"], cum_rows)
+
+    bin_rows = []
+    if rank and rank["binned_by_ideology"]["shares"]:
+        width = rank["binned_by_ideology"]["bin_width"]
+        shares = rank["binned_by_ideology"]["shares"]
+        n_bins = len(next(iter(shares.values())))
+        for i in range(n_bins):
+            bin_rows.append(
+                [
+                    i * width + 1,
+                    (i + 1) * width,
+                    shares["left"][i],
+                    shares["right"][i],
+                ]
+            )
+    table(
+        "binned_attention",
+        ["rank_from", "rank_to", "left_share", "right_share"],
+        bin_rows,
+    )
+
+    sl = d.get("sentence_length")
+    table(
+        "sentence_length",
+        ["gender", "n", "mean_chars"],
+        []
+        if not sl
+        else [
+            ["Man", sl["men"]["n"], sl["men"]["mean_chars"]],
+            ["Woman", sl["women"]["n"], sl["women"]["mean_chars"]],
+        ],
+    )
+
+    co = d.get("co_mention")
+    table(
+        "co_mention",
+        [
+            "man_sentences",
+            "woman_sentences",
+            "mixed_sentences",
+            "p_man_given_woman_sentence",
+            "p_woman_given_man_sentence",
+        ],
+        []
+        if not co
+        else [
+            [
+                co["man_sentences"],
+                co["woman_sentences"],
+                co["mixed_sentences"],
+                co["p_man_given_woman_sentence"],
+                co["p_woman_given_man_sentence"],
+            ]
+        ],
+    )
+
+    prov = d.get("provenance")
+    table(
+        "provenance",
+        ["combo", "mentions"],
+        [] if not prov else sorted(prov["by_combo"].items()),
+    )
+
+    totals = d.get("totals")
+    table(
+        "totals",
+        [
+            "mentions",
+            "unique_experts",
+            "unknown_fraction_pre_merge",
+            "unknown_fraction_post_merge",
+            "women_men_ratio",
+        ],
+        []
+        if not totals
+        else [
+            [
+                totals["mentions"],
+                totals["unique_experts"],
+                totals["unknown_fraction_pre_merge"],
+                totals["unknown_fraction_post_merge"],
+                totals["women_men"]["ratio"],
+            ]
+        ],
+    )
+    return written
+
+
+def _report_case(report, case: str) -> AuditReport:
+    sources = load_source_config(SOURCES)
+    config = AuditConfig(bootstrap_iterations=50)
+    resources = load_resources()
+    mentions = list(report.mentions)
+    if case == "empty":
+        mentions = []
+    elif case == "men_unranked_orgs":
+        # cumulative shares null for both genders; binned shares all None
+        mentions = [m for m in mentions if m.gender.merged is MergedGender.MAN
+                    and (m.org_link is None or m.org_link.record.world_rank is None)]
+    elif case == "no_ranked_population":
+        # no world ranks at all: cumulative and binned shares both null
+        resources = dataclasses.replace(resources, gazetteers=tuple(
+            r for r in resources.gazetteers
+            if r.world_rank is None and r.public_health_rank is None))
+    return build_report(mentions, sources, config, resources=resources)
+
+
+@pytest.mark.parametrize(
+    "case", ["fixture", "empty", "men_unranked_orgs", "no_ranked_population"]
+)
+def test_csv_table_spec_matches_reference_emitter(report, tmp_path, case):
+    rep = _report_case(report, case)
+    rank = rep.data["rank_attention"]
+    if case == "men_unranked_orgs":
+        assert rank["cumulative_by_gender"]["Man"]["shares"] is None
+        assert set(rank["binned_by_ideology"]["shares"]["left"]) == {None}
+    if case == "no_ranked_population":
+        assert rank["cumulative_by_gender"]["Woman"]["shares"] is None
+        assert rank["binned_by_ideology"]["shares"] is None
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "new").mkdir()
+    ref = reference_csv_tables(rep, tmp_path / "ref")
+    new = _csv_tables(rep, tmp_path / "new")
+    assert [p.name for p in new] == [p.name for p in ref]
+    assert len(new) == 12
+    for a, b in zip(ref, new):
+        assert b.read_bytes() == a.read_bytes(), b.name
 
 
 # ---------------------------------------------------------------------------
