@@ -94,7 +94,8 @@ def load_source_config(path: "str | Path") -> SourceConfig:
             ideology = Ideology(ideology)
         except ValueError:
             raise ValueError(
-                f"outlet {key!r}: ideology must be 'left' or 'right', got {ideology!r}"
+                f"{path}: outlet {key!r}: ideology must be 'left' or 'right', "
+                f"got {ideology!r}"
             ) from None
         outlets[key] = Outlet(
             key=key,

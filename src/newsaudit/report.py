@@ -393,24 +393,15 @@ def _bs_dict(result: "stats.BootstrapResult | None", reason: "str | None" = None
 
 
 def _bootstrap_or_none(
-    values: Sequence[float],
-    statistic: Callable,
-    label: str,
-    config: AuditConfig,
+    k: int, n: int, statistic: Callable, label: str, config: AuditConfig
 ) -> dict:
-    if not values:
+    # bootstrap of a 0/1 sample of n values holding k ones, from its counts
+    if n == 0:
         return _bs_dict(None, "empty sample")
     res, reason = _try(
-        lambda: stats.bootstrap(values, statistic, _bs_config(label, config))
+        lambda: stats.bootstrap_counts(k, n, statistic, _bs_config(label, config))
     )
     return _bs_dict(res, reason)
-
-
-def _ratio_statistic(arr) -> float:
-    # arr is a 0/1 woman-indicator resample; women per man
-    women = float(arr.sum())
-    men = float(arr.size - arr.sum())
-    return women / men if men > 0 else float("inf")
 
 
 def _gender_counts(labels: Iterable[MergedGender]) -> dict:
@@ -430,18 +421,17 @@ def _ratio_block(
 ) -> dict:
     counts = _gender_counts(m.gender.merged for m in members)
     ratio, reason = _try(lambda: stats.gender_ratio(counts))
-    indicators = [
-        1.0 if m.gender.merged is MergedGender.WOMAN else 0.0
-        for m in members
-        if m.gender.merged in (MergedGender.MAN, MergedGender.WOMAN)
-    ]
+    known = counts["Man"] + counts["Woman"]
     return {
         "n_men": counts["Man"],
         "n_women": counts["Woman"],
         "n_unknown": counts["Unknown"],
         "ratio": ratio,
         "ratio_reason": reason,
-        "bootstrap": _bootstrap_or_none(indicators, _ratio_statistic, label, config),
+        # women per man in each resample; no men gives inf
+        "bootstrap": _bootstrap_or_none(
+            counts["Woman"], known, lambda women: women / (known - women), label, config
+        ),
     }
 
 
@@ -572,12 +562,12 @@ def _corpus_section(mentions, sources, ingest, counters) -> dict:
 
 def _totals_section(mentions, experts, resources, config) -> dict:
     n = len(mentions)
-    # pre-merge: dictionary lookup only, no manual overrides applied
+    # pre-merge: dictionary lookup only, no manual overrides applied;
+    # each distinct speaker text is classified once, weighted by its mentions
     pre_unknown = sum(
-        1
-        for m in mentions
-        if classify_gender(m.speaker_text, resources.first_names).merged
-        is MergedGender.UNKNOWN
+        count
+        for text, count in Counter(m.speaker_text for m in mentions).items()
+        if classify_gender(text, resources.first_names).merged is MergedGender.UNKNOWN
     )
     post_unknown = sum(1 for m in mentions if m.gender.merged is MergedGender.UNKNOWN)
     return {
@@ -619,12 +609,10 @@ def _gender_by_org_type_section(mentions, config) -> dict:
         shares = {g: (counts[g] / n if n else None) for g in counts}
         boots = {}
         for gender in MergedGender:
-            indicators = [
-                1.0 if m.gender.merged is gender else 0.0 for m in members
-            ]
             boots[gender.value] = _bootstrap_or_none(
-                indicators,
-                lambda arr: float(arr.mean()),
+                counts[gender.value],
+                n,
+                lambda c: c / n,
                 f"gender_by_org_type/{org_type.value}/{gender.value}",
                 config,
             )
@@ -803,10 +791,10 @@ def _co_mention_section(mentions) -> dict:
 def _provenance_section(mentions) -> dict:
     by_detector: Counter = Counter()
     by_combo: Counter = Counter()
-    for m in mentions:
-        for d in m.detectors:
-            by_detector[d.value] += 1
-        by_combo["+".join(sorted(d.value for d in m.detectors))] += 1
+    for detectors, count in Counter(m.detectors for m in mentions).items():
+        for d in detectors:
+            by_detector[d.value] += count
+        by_combo["+".join(sorted(d.value for d in detectors))] += count
     return {
         "by_detector": {d.value: by_detector.get(d.value, 0) for d in Detector},
         "by_combo": dict(sorted(by_combo.items())),

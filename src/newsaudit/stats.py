@@ -354,7 +354,37 @@ def bootstrap(
         out[start:stop] = [
             statistic(arr[row]) for row in rng.integers(0, n, size=(stop - start, n))
         ]
-    finite = out[np.isfinite(out)]
+    return _summarise(out, config)
+
+
+def bootstrap_counts(
+    k: int,
+    n: int,
+    statistic: Callable[[np.ndarray], np.ndarray],
+    config: BootstrapConfig,
+) -> BootstrapResult:
+    """Percentile bootstrap of a statistic of the count of ones in a 0/1 sample.
+
+    A resample of n values holding k ones has its count of ones drawn
+    from exactly Binomial(n, k/n), so the B resamples are B binomial
+    draws from a generator seeded by ``config.seed``, not B * n indices.
+    ``statistic`` maps the whole array of drawn counts to the array of
+    replicate values, e.g. ``lambda c: c / n``; division by zero in it is
+    silent, since non-finite replicates are dropped.  The summary follows
+    ``bootstrap``; the replicates differ from its stream on the same data.
+    """
+    if n <= 0:
+        raise ValueError("cannot bootstrap an empty sample")
+    counts = np.random.default_rng(config.seed).binomial(n, k / n, size=config.iterations)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(statistic(counts), dtype=float)
+    return _summarise(out, config)
+
+
+def _summarise(replicates: np.ndarray, config: BootstrapConfig) -> BootstrapResult:
+    # Non-finite replicates (a ratio can blow up) are dropped; the interval
+    # is the percentile one at the configured confidence.
+    finite = replicates[np.isfinite(replicates)]
     if finite.size == 0:
         raise ValueError("all bootstrap replicates were non-finite")
     alpha = (1.0 - config.confidence) / 2.0

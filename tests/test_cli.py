@@ -222,6 +222,18 @@ def test_unparseable_sources_exits_cleanly(tmp_path, caplog, text):
     assert message.startswith(f"{path}: ") and "\n" not in message
 
 
+def test_bad_ideology_names_the_sources_file(tmp_path, caplog):
+    config = json.loads(Path(SOURCES).read_text(encoding="utf-8"))
+    config["nyt"]["ideology"] = "center"
+    path = tmp_path / "sources.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["audit", "--corpus", CORPUS, "--sources", str(path),
+                 "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert code == EXIT_FATAL
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage().startswith(f"{path}: outlet 'nyt': ideology must be")
+
+
 def test_deeply_nested_mentions_line_exits_cleanly(tmp_path, caplog):
     ext = tmp_path / "ext"
     assert main(["extract", "--corpus", CORPUS, "--sources", SOURCES,

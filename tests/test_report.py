@@ -11,18 +11,22 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from newsaudit import stats
 from newsaudit.corpus import load_source_config, parse_article_stream, segment_sentences
-from newsaudit.entities import MergedGender
+from newsaudit.entities import MergedGender, classify_gender
 from newsaudit.extract import run_detectors
 from newsaudit.report import (
     AuditConfig,
     AuditReport,
     ExpertMention,
+    _bs_config,
+    _bs_dict,
     _csv_tables,
+    _ratio_block,
     _write_csv,
     build_report,
     emit,
@@ -147,6 +151,21 @@ def test_totals_section(data):
     assert wm["ratio"] == pytest.approx(GOLD["counts"]["women_men_ratio"], abs=TOL)
     assert wm["bootstrap"]["available"]
     assert wm["bootstrap"]["ci_low"] <= wm["ratio"] <= wm["bootstrap"]["ci_high"]
+
+
+def test_pre_merge_unknown_fraction_weights_repeated_speakers(report):
+    # Speakers are classified once each but weighted by their mentions:
+    # repeating one pre-merge-unknown speaker must move the fraction.
+    names = load_resources().first_names
+    unknown = [m for m in report.mentions
+               if classify_gender(m.speaker_text, names).merged is MergedGender.UNKNOWN]
+    mentions = list(report.mentions) + [unknown[0]] * 5
+    expected = sum(
+        classify_gender(m.speaker_text, names).merged is MergedGender.UNKNOWN
+        for m in mentions
+    ) / len(mentions)
+    rebuilt = build_report(mentions, load_source_config(SOURCES), AuditConfig())
+    assert rebuilt.data["totals"]["unknown_fraction_pre_merge"] == expected
 
 
 def test_gender_composition_section(data):
@@ -319,6 +338,57 @@ def test_no_suppression_is_a_superset(report):
     assert extra == GOLD["requires_no_suppression"]
     assert extra[0]["org_text"] == "Fox News"
     assert extra[0]["org_link"] is None
+
+
+# ---------------------------------------------------------------------------
+# bootstrap blocks drawn from binomial counts
+
+
+def test_report_never_bootstraps_indices(report, monkeypatch):
+    # Every report bootstrap draws counts, so B * n resample indices are
+    # never drawn: the tables come out the same with stats.bootstrap gone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("stats.bootstrap called")
+
+    monkeypatch.setattr(stats, "bootstrap", refuse)
+    rebuilt = build_report(report.mentions, load_source_config(SOURCES), AuditConfig())
+    for section in ("totals", "outlet_ratios", "gender_by_org_type"):
+        assert rebuilt.data[section] == report.data[section]
+    assert rebuilt.data["totals"]["women_men"]["bootstrap"]["available"]
+
+
+def test_bootstrap_blocks_use_per_table_seeds(data):
+    config = AuditConfig()
+    block = data["totals"]["women_men"]
+    women, known = block["n_women"], block["n_men"] + block["n_women"]
+    expected = stats.bootstrap_counts(
+        women, known, lambda c: c / (known - c), _bs_config("totals/women_men", config)
+    )
+    assert block["bootstrap"] == _bs_dict(expected)
+    academic = data["gender_by_org_type"]["academic"]
+    n, k = academic["n"], academic["counts"]["Woman"]
+    expected = stats.bootstrap_counts(
+        k, n, lambda c: c / n, _bs_config("gender_by_org_type/academic/Woman", config)
+    )
+    assert academic["bootstrap"]["Woman"] == _bs_dict(expected)
+
+
+def _members(*genders: MergedGender) -> list:
+    return [SimpleNamespace(gender=SimpleNamespace(merged=g)) for g in genders]
+
+
+def test_ratio_block_edge_cases():
+    config = AuditConfig()
+    women_only = _ratio_block(_members(*[MergedGender.WOMAN] * 4), "x", config)
+    assert women_only["ratio"] is None
+    # every resample has no men, so every replicate is inf
+    assert women_only["bootstrap"] == {
+        "available": False, "reason": "all bootstrap replicates were non-finite"}
+    men_only = _ratio_block(_members(*[MergedGender.MAN] * 4), "x", config)["bootstrap"]
+    assert (men_only["mean"], men_only["ci_low"], men_only["ci_high"]) == (0.0, 0.0, 0.0)
+    for members in ([], _members(MergedGender.UNKNOWN)):
+        block = _ratio_block(members, "x", config)
+        assert block["bootstrap"] == {"available": False, "reason": "empty sample"}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsaudit import stats
-from newsaudit.report import _ratio_statistic
 from newsaudit.stats import (
     BootstrapConfig,
     BootstrapResult,
@@ -24,6 +23,7 @@ from newsaudit.stats import (
     WelchResult,
     binned_shares,
     bootstrap,
+    bootstrap_counts,
     chi2_sf,
     cumulative_topn,
     gender_ratio,
@@ -379,6 +379,14 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def _ratio_statistic(arr) -> float:
+    # Women per man in a 0/1 woman-indicator resample, as the report
+    # computed it per resample before it drew binomial counts.
+    women = float(arr.sum())
+    men = float(arr.size - arr.sum())
+    return women / men if men > 0 else float("inf")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 3000),
@@ -416,6 +424,113 @@ def test_bootstrap_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * stats._BLOCK * 8 + 8 * len(data) * 8
+
+
+# ---------------------------------------------------------------------------
+# bootstrap from binomial counts
+
+def _share(n):
+    return lambda c: c / n
+
+
+def _ratio(n):
+    return lambda c: c / (n - c)
+
+
+def test_bootstrap_counts_draws_one_binomial_per_replicate():
+    cfg = BootstrapConfig(iterations=400, seed=31)
+    res = bootstrap_counts(37, 120, _share(120), cfg)
+    counts = np.random.default_rng(31).binomial(120, 37 / 120, size=400) / 120
+    lo, hi = np.quantile(counts, [0.025, 0.975])
+    assert res == BootstrapResult(
+        mean=float(np.mean(counts)), std=float(np.std(counts)),
+        ci_low=float(lo), ci_high=float(hi), iterations=400,
+    )
+
+
+def test_bootstrap_counts_deterministic_for_fixed_seed():
+    cfg = BootstrapConfig(iterations=300, seed=77)
+    for statistic in (_share(90), _ratio(90)):
+        assert bootstrap_counts(30, 90, statistic, cfg) == bootstrap_counts(
+            30, 90, statistic, cfg
+        )
+    r1 = bootstrap_counts(30, 90, _share(90), BootstrapConfig(iterations=300, seed=1))
+    r2 = bootstrap_counts(30, 90, _share(90), BootstrapConfig(iterations=300, seed=2))
+    assert (r1.ci_low, r1.ci_high) != (r2.ci_low, r2.ci_high)
+
+
+def test_bootstrap_counts_calibration():
+    # Criterion 8's check, drawn from counts: 95% CIs cover the true
+    # proportion in 95% +/- 3 points over 200 trials at n = 400.
+    trial_rng = np.random.default_rng(20261018)
+    p_true, n, trials = 0.3, 400, 200
+    seeds = trial_rng.integers(0, 2**32 - 1, size=trials)
+    covered = 0
+    for seed in seeds:
+        k = int(trial_rng.binomial(n, p_true))
+        res = bootstrap_counts(
+            k, n, _share(n), BootstrapConfig(iterations=1000, seed=int(seed))
+        )
+        covered += res.ci_low <= p_true <= res.ci_high
+    assert 0.92 * trials <= covered <= 0.98 * trials
+
+
+@pytest.mark.parametrize("k,n", [(90, 300), (12, 40), (28, 40)])
+@pytest.mark.parametrize("name", ["share", "ratio"])
+def test_bootstrap_counts_agrees_with_index_bootstrap(k, n, name):
+    # Same 0/1 data, two resampling schemes with the same distribution: the
+    # count of ones in a resample is Binomial(n, k/n).  Both summaries of
+    # B = 4000 replicates agree within Monte-Carlo error, which is taken
+    # from that exact distribution (the ratio's tail is heavy at 28/40).
+    iterations = 4000
+    data = [1.0] * k + [0.0] * (n - k)
+    if name == "share":
+        counts_stat, array_stat = _share(n), lambda a: float(a.mean())
+    else:
+        counts_stat, array_stat = _ratio(n), _ratio_statistic
+    by_counts = bootstrap_counts(k, n, counts_stat, BootstrapConfig(iterations, seed=5))
+    by_index = bootstrap(data, array_stat, BootstrapConfig(iterations, seed=6))
+
+    with np.errstate(divide="ignore"):
+        values = counts_stat(np.arange(n + 1))
+    pmf = scipy.stats.binom.pmf(np.arange(n + 1), n, k / n)
+    finite = np.isfinite(values)
+    values, pmf = values[finite], pmf[finite] / pmf[finite].sum()
+    mu = float(pmf @ values)
+    var = float(pmf @ (values - mu) ** 2)
+    m4 = float(pmf @ (values - mu) ** 4)
+    se_mean = math.sqrt(var / iterations)
+    se_std = math.sqrt((m4 - var**2) / (4 * var * iterations))
+    assert by_counts.mean == pytest.approx(by_index.mean, abs=5 * math.sqrt(2) * se_mean)
+    assert by_counts.std == pytest.approx(by_index.std, abs=5 * math.sqrt(2) * se_std)
+    # The sample q-quantile lies between the exact (q -/+ delta)-quantiles,
+    # delta five binomial SEs of the share of replicates below it.
+    order = np.argsort(values)
+    cdf = np.cumsum(pmf[order])
+    for q, got, want in ((0.025, by_counts.ci_low, by_index.ci_low),
+                         (0.975, by_counts.ci_high, by_index.ci_high)):
+        delta = 5 * math.sqrt(q * (1 - q) / iterations)
+        lo = values[order][np.searchsorted(cdf, q - delta)]
+        hi = values[order][min(np.searchsorted(cdf, q + delta), cdf.size - 1)]
+        assert lo <= got <= hi and lo <= want <= hi
+
+
+def test_bootstrap_counts_edge_cases():
+    cfg = BootstrapConfig(iterations=200, seed=4)
+    none = bootstrap_counts(0, 50, _share(50), cfg)
+    assert (none.mean, none.std, none.ci_low, none.ci_high) == (0.0, 0.0, 0.0, 0.0)
+    every = bootstrap_counts(50, 50, _share(50), cfg)
+    assert (every.mean, every.std, every.ci_low, every.ci_high) == (1.0, 0.0, 1.0, 1.0)
+    no_women = bootstrap_counts(0, 50, _ratio(50), cfg)
+    assert (no_women.mean, no_women.ci_low, no_women.ci_high) == (0.0, 0.0, 0.0)
+    # no men: every replicate is inf, as with the index bootstrap
+    with pytest.raises(ValueError) as by_counts:
+        bootstrap_counts(50, 50, _ratio(50), cfg)
+    with pytest.raises(ValueError) as by_index:
+        bootstrap([1.0] * 50, _ratio_statistic, cfg)
+    assert str(by_counts.value) == str(by_index.value)
+    with pytest.raises(ValueError, match="empty sample"):
+        bootstrap_counts(0, 0, _share(0), cfg)
 
 
 def test_bootstrap_config_validation():
