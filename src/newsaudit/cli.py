@@ -180,10 +180,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     formats = _parse_formats(args.formats)
     sources = load_source_config(args.sources)
     resources = load_resources(args.gazetteers)
-    mentions = read_mentions_jsonl(args.mentions)
+    mentions = read_mentions_jsonl(args.mentions, sources)
     report = build_report(mentions, sources, config, resources=resources)
     written = emit(report, formats, args.out)
-    print(f"mentions={len(report.mentions)} files={len(written)}")
+    totals = report.data.get("totals") or {}
+    print(f"mentions={totals.get('mentions', 0)} files={len(written)}")
     return EXIT_EMPTY if report.empty else EXIT_OK
 
 

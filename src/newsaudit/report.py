@@ -2,8 +2,9 @@
 
 ``extract_mentions`` drives the per-sentence pipeline (detectors, entity
 attachment, organization linking) over a corpus file; ``build_report``
-turns the mention list into the nested table structure the emitters
-consume; ``run_audit`` wires the two together and persists artifacts.
+folds any iterable of mentions, in one pass and in any order, into counts
+and builds from them the nested table structure the emitters consume;
+``run_audit`` wires the two together and persists artifacts.
 Statistics that a table cannot support (zero men, constant ranks, one
 data point) are reported as null values with a reason string instead of
 being silently dropped.
@@ -16,8 +17,9 @@ import json
 import logging
 import random
 import zlib
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -235,10 +237,11 @@ def fixture_dir() -> Path:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Assembled tables plus the mention list they were computed from."""
+    """Assembled tables; from ``run_audit``, also the sorted mention list
+    they were computed from (``build_report`` keeps no mentions)."""
 
     data: Mapping[str, Any]
-    mentions: tuple
+    mentions: tuple = ()
 
     @property
     def empty(self) -> bool:
@@ -337,25 +340,32 @@ def write_mentions_jsonl(mentions: Sequence[ExpertMention], path: "str | Path") 
     return p
 
 
-def read_mentions_jsonl(path: "str | Path") -> list[ExpertMention]:
-    """Mentions of a ``write_mentions_jsonl`` file, in file order.
+def read_mentions_jsonl(
+    path: "str | Path", sources: "SourceConfig | None" = None
+) -> Iterator[ExpertMention]:
+    """Mentions of a ``write_mentions_jsonl`` file, one at a time, in file order.
 
     Equal org records, gender labels and detector sets are built once per
-    call and shared.  A malformed line raises a ValueError that names the
-    file and the line.
+    pass and shared.  A malformed line, or with ``sources`` a mention whose
+    outlet it does not configure, raises a ValueError that names the file
+    and the line.
     """
-    out = []
     shared: dict = {}
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    out.append(_mention_from_dict(json.loads(line), shared))
-                except KeyError as exc:
-                    raise ValueError(f"{path}:{lineno}: mention lacks {exc}") from None
-                except (AttributeError, TypeError, ValueError, RecursionError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed mention: {exc}") from None
-    return out
+            if not line.strip():
+                continue
+            try:
+                mention = _mention_from_dict(json.loads(line), shared)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: mention lacks {exc}") from None
+            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed mention: {exc}") from None
+            if sources is not None and mention.source not in sources:
+                raise ValueError(
+                    f"{path}:{lineno}: source {mention.source!r} is not in the outlet config"
+                )
+            yield mention
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +414,14 @@ def _bootstrap_or_none(
     return _bs_dict(res, reason)
 
 
-def _gender_counts(labels: Iterable[MergedGender]) -> dict:
-    c = Counter(labels)
-    return {g.value: c.get(g, 0) for g in MergedGender}
-
-
-def _known_shares(counts: Mapping[str, int]) -> "tuple[float | None, float | None]":
-    known = counts.get("Man", 0) + counts.get("Woman", 0)
-    if known == 0:
-        return None, None
-    return counts.get("Man", 0) / known, counts.get("Woman", 0) / known
+def _gender_counts(counts: Mapping[MergedGender, int]) -> dict:
+    return {g.value: counts.get(g, 0) for g in MergedGender}
 
 
 def _ratio_block(
-    members: Sequence[ExpertMention], label: str, config: AuditConfig
+    genders: Mapping[MergedGender, int], label: str, config: AuditConfig
 ) -> dict:
-    counts = _gender_counts(m.gender.merged for m in members)
+    counts = _gender_counts(genders)
     ratio, reason = _try(lambda: stats.gender_ratio(counts))
     known = counts["Man"] + counts["Woman"]
     return {
@@ -435,31 +437,18 @@ def _ratio_block(
     }
 
 
-def _rank_block(
-    members: Sequence[ExpertMention],
-    population_ranks: Sequence[int],
-    rank_of: Callable[[OrgRecord], "int | None"],
-) -> dict:
+def _rank_block(counts: Mapping[Any, int], population_ranks: Sequence[int]) -> dict:
     """Mention counts over a ranked institution population.
 
     Zero-mention institutions stay in the vector: a Lorenz curve over
     attention needs the full population, not just the observed part.
     """
-    counts: Counter = Counter()
-    n_mentions = 0
-    for m in members:
-        if m.org_link is None:
-            continue
-        rank = rank_of(m.org_link.record)
-        if rank is not None:
-            counts[rank] += 1
-            n_mentions += 1
     vector = [float(counts.get(r, 0)) for r in population_ranks]
     gini, gini_reason = _try(lambda: stats.gini(vector))
     rho, rho_reason = _try(lambda: stats.spearman(list(population_ranks), vector))
     return {
         "n_institutions": len(population_ranks),
-        "mentions": n_mentions,
+        "mentions": sum(counts.values()),
         "gini": gini,
         "gini_reason": gini_reason,
         "spearman": rho,
@@ -482,174 +471,239 @@ TABLE_SECTIONS = (
     "provenance",
 )
 
+#: Co-mention mask bits: the merged genders quoted in one sentence.
+_MAN_BIT, _WOMAN_BIT = 1, 2
+_GENDER_BIT = {MergedGender.MAN: _MAN_BIT, MergedGender.WOMAN: _WOMAN_BIT,
+               MergedGender.UNKNOWN: 0}
+
+
+@dataclass(slots=True)
+class _Earliest:
+    """Mentions of one speaker text with one merged gender: how many, and
+    the label of the first by ``key`` (sort key, then file position)."""
+
+    count: int
+    key: tuple
+    label: GenderLabel
+
+
+_KEY = attrgetter("key")
+
+
+class _Aggregate:
+    """Everything the report reads, folded from the mentions in one pass.
+
+    ``table`` counts mentions per (source, GenderLabel, OrgRecord or None,
+    detector set) and ``lengths`` their sentence lengths per merged gender;
+    ``sentences`` maps (article_id, sentence_index) to its co-mention mask;
+    ``speakers`` maps each speaker text to an ``_Earliest`` per merged gender.
+    """
+
+    def __init__(self, mentions: Iterable[ExpertMention]) -> None:
+        self.table: Counter = Counter()
+        self.lengths = {g: Counter() for g in MergedGender}
+        self.sentences: defaultdict = defaultdict(int)
+        self.speakers: defaultdict = defaultdict(dict)
+        for pos, m in enumerate(mentions):
+            merged = m.gender.merged
+            record = None if m.org_link is None else m.org_link.record
+            self.table[m.source, m.gender, record, m.detectors] += 1
+            self.lengths[merged][m.sentence_char_length] += 1
+            self.sentences[m.article_id, m.sentence_index] |= _GENDER_BIT[merged]
+            key, by_gender = mention_sort_key(m), self.speakers[m.speaker_text]
+            seen = by_gender.get(merged)
+            if seen is None:
+                by_gender[merged] = _Earliest(1, (key, pos), m.gender)
+            else:
+                seen.count += 1
+                if key < seen.key[0]:  # equal keys keep the first in file order
+                    seen.key, seen.label = (key, pos), m.gender
+
+    def count(self, project: Callable[..., Any]) -> Counter:
+        """Mentions per ``project(source, label, record, detectors)``; rows
+        it projects to None are left out."""
+        out: Counter = Counter()
+        for row, n in self.table.items():
+            key = project(*row)
+            if key is not None:
+                out[key] += n
+        return out
+
+
+def _unique_experts(speakers: Mapping[str, dict], gender_mode: str) -> list:
+    """``resolve_unique_experts`` over every mention in sort order.
+
+    A repeated name joins the expert its first mention joined, so the
+    distinct names, in order of their first mentions, group the same way;
+    counts and majority votes are then summed over each expert's names.
+    (``_labels`` holds one label per distinct name.)
+    """
+    first = {name: min(seen.values(), key=_KEY) for name, seen in speakers.items()}
+    names = sorted(first, key=lambda name: first[name].key)
+    experts = resolve_unique_experts(names, [first[name].label for name in names])
+    for expert in experts:
+        entries = [e for name in (expert.canonical_name, *expert.aliases)
+                   for e in speakers[name].values()]
+        votes: Counter = Counter()
+        for e in entries:
+            votes[e.label.merged] += e.count
+        expert.mention_count = sum(votes.values())
+        (top, best), *rest = votes.most_common()
+        if gender_mode == "majority" and not (rest and rest[0][1] == best):
+            # a tie keeps the founding label
+            expert.gender = min((e for e in entries if e.label.merged is top), key=_KEY).label
+    return experts
+
 
 def build_report(
-    mentions: Sequence[ExpertMention],
+    mentions: Iterable[ExpertMention],
     sources: SourceConfig,
     config: AuditConfig,
     resources: "Resources | None" = None,
     ingest: "IngestStats | None" = None,
     counters: "Mapping[str, Any] | None" = None,
 ) -> AuditReport:
-    """Assemble every table of the audit from an enriched mention list."""
+    """Assemble every table of the audit from enriched mentions.
+
+    ``mentions`` is iterated once, in any order, and not kept: each table
+    is built from the counts it folds into.  A mention whose source
+    ``sources`` does not configure raises a ValueError.
+    """
     if resources is None:
         resources = load_resources()
-    mentions = sorted(mentions, key=mention_sort_key)
+    agg = _Aggregate(mentions)
+    by_source = agg.count(lambda source, *_: source)
+    unconfigured = sorted(key for key in by_source if key not in sources)
+    if unconfigured:
+        raise ValueError(f"mention source {unconfigured[0]!r} is not in the outlet config")
     data: dict[str, Any] = {
         "config": config.to_dict(),
-        "corpus": _corpus_section(mentions, sources, ingest, counters),
-        "empty": not mentions,
+        "corpus": _corpus_section(by_source, sources, ingest, counters),
+        "empty": not by_source,
     }
-    if not mentions:
-        for key in TABLE_SECTIONS:
-            data[key] = None
-        return AuditReport(data=data, mentions=tuple(mentions))
+    if not by_source:
+        data.update(dict.fromkeys(TABLE_SECTIONS))
+        return AuditReport(data=data)
 
-    experts = resolve_unique_experts(
-        [m.speaker_text for m in mentions],
-        [m.gender for m in mentions],
-        gender_mode=config.gender_mode,
-    )
-
-    data["totals"] = _totals_section(mentions, experts, resources, config)
-    data["gender_composition"] = _composition_section(mentions, experts)
-    data["gender_by_org_type"] = _gender_by_org_type_section(mentions, config)
-    data["org_type_by_outlet"] = _org_type_by_outlet_section(mentions, sources)
+    genders = agg.count(lambda source, label, *_: label.merged)
+    experts = _unique_experts(agg.speakers, config.gender_mode)
+    data["totals"] = _totals_section(agg, genders, experts, resources, config)
+    data["gender_composition"] = _composition_section(genders, experts)
+    data["gender_by_org_type"] = _gender_by_org_type_section(agg, config)
+    data["org_type_by_outlet"] = _org_type_by_outlet_section(agg, sources)
     data["outlet_ratios"], data["ideology_ratio_test"] = _outlet_ratio_sections(
-        mentions, sources, config
+        agg, sources, config
     )
-    data["rank_attention"] = _rank_attention_section(mentions, sources, resources, config)
-    data["sentence_length"] = _sentence_length_section(mentions)
-    data["co_mention"] = _co_mention_section(mentions)
-    data["provenance"] = _provenance_section(mentions)
-    return AuditReport(data=data, mentions=tuple(mentions))
+    data["rank_attention"] = _rank_attention_section(agg, sources, resources, config)
+    data["sentence_length"] = _sentence_length_section(agg)
+    data["co_mention"] = _co_mention_section(agg)
+    data["provenance"] = _provenance_section(agg)
+    return AuditReport(data=data)
 
 
-def _corpus_section(mentions, sources, ingest, counters) -> dict:
-    by_outlet: dict[str, dict] = {}
-    mention_counts = Counter(m.source for m in mentions)
-    articles_by_outlet = (counters or {}).get("articles_by_outlet", {})
-    for outlet in sources:
-        by_outlet[outlet.key] = {
-            "display_name": outlet.display_name,
-            "ideology": outlet.ideology.value,
-            "articles": int(articles_by_outlet.get(outlet.key, 0))
-            if counters is not None
-            else None,
-            "mentions": mention_counts.get(outlet.key, 0),
-        }
-    section = {
-        "outlets": by_outlet,
-        "sentences": (counters or {}).get("sentences") if counters else None,
-        "skipped_unconfigured_sources": dict(
-            (counters or {}).get("skipped_unconfigured_sources", {})
-        )
+def _corpus_section(mention_counts, sources, ingest, counters) -> dict:
+    # ingest and counters come from extract_mentions; a mentions file has neither
+    articles = None if counters is None else counters.get("articles_by_outlet", {})
+    return {
+        "outlets": {
+            outlet.key: {
+                "display_name": outlet.display_name,
+                "ideology": outlet.ideology.value,
+                "articles": None if articles is None else int(articles.get(outlet.key, 0)),
+                "mentions": mention_counts.get(outlet.key, 0),
+            }
+            for outlet in sources
+        },
+        "sentences": counters.get("sentences") if counters else None,
+        "skipped_unconfigured_sources": dict(counters.get("skipped_unconfigured_sources", {}))
         if counters
         else None,
+        "ingest": None if ingest is None else asdict(ingest),
     }
-    if ingest is not None:
-        section["ingest"] = {
-            "total_lines": ingest.total_lines,
-            "articles": ingest.articles,
-            "skipped_malformed": ingest.skipped_malformed,
-            "skipped_missing_fields": ingest.skipped_missing_fields,
-            "skipped_duplicate_id": ingest.skipped_duplicate_id,
-        }
-    else:
-        section["ingest"] = None
-    return section
 
 
-def _totals_section(mentions, experts, resources, config) -> dict:
-    n = len(mentions)
+def _totals_section(agg, genders, experts, resources, config) -> dict:
+    n = sum(genders.values())
     # pre-merge: dictionary lookup only, no manual overrides applied;
     # each distinct speaker text is classified once, weighted by its mentions
     pre_unknown = sum(
-        count
-        for text, count in Counter(m.speaker_text for m in mentions).items()
+        e.count
+        for text, by_gender in agg.speakers.items()
         if classify_gender(text, resources.first_names).merged is MergedGender.UNKNOWN
+        for e in by_gender.values()
     )
-    post_unknown = sum(1 for m in mentions if m.gender.merged is MergedGender.UNKNOWN)
     return {
         "mentions": n,
         "unique_experts": len(experts),
         "unknown_fraction_pre_merge": pre_unknown / n,
-        "unknown_fraction_post_merge": post_unknown / n,
-        "women_men": _ratio_block(mentions, "totals/women_men", config),
+        "unknown_fraction_post_merge": genders[MergedGender.UNKNOWN] / n,
+        "women_men": _ratio_block(genders, "totals/women_men", config),
     }
 
 
-def _composition_section(mentions, experts) -> dict:
-    def block(labels) -> dict:
+def _composition_section(genders, experts) -> dict:
+    def block(labels: Mapping[MergedGender, int]) -> dict:
         counts = _gender_counts(labels)
-        man_share, woman_share = _known_shares(counts)
+        known = counts["Man"] + counts["Woman"]
         return {
             "counts": counts,
-            "man_share": man_share,
-            "woman_share": woman_share,
+            "man_share": counts["Man"] / known if known else None,
+            "woman_share": counts["Woman"] / known if known else None,
             "unknown_count": counts["Unknown"],
         }
 
     return {
-        "mentions": block(m.gender.merged for m in mentions),
-        "unique_experts": block(e.gender.merged for e in experts),
+        "mentions": block(genders),
+        "unique_experts": block(Counter(e.gender.merged for e in experts)),
     }
 
 
-def _gender_by_org_type_section(mentions, config) -> dict:
+def _gender_by_org_type_section(agg, config) -> dict:
+    by_type = agg.count(
+        lambda source, label, rec, _: None if rec is None else (rec.org_type, label.merged)
+    )
     out: dict[str, Any] = {}
     for org_type in OrgType:
-        members = [
-            m
-            for m in mentions
-            if m.org_link is not None and m.org_link.record.org_type is org_type
-        ]
-        counts = _gender_counts(m.gender.merged for m in members)
-        n = len(members)
-        shares = {g: (counts[g] / n if n else None) for g in counts}
-        boots = {}
-        for gender in MergedGender:
-            boots[gender.value] = _bootstrap_or_none(
-                counts[gender.value],
-                n,
-                lambda c: c / n,
-                f"gender_by_org_type/{org_type.value}/{gender.value}",
-                config,
-            )
+        counts = _gender_counts({g: by_type[org_type, g] for g in MergedGender})
+        n = sum(counts.values())
         out[org_type.value] = {
             "n": n,
             "counts": counts,
-            "shares": shares,
-            "bootstrap": boots,
-        }
-    return out
-
-
-def _org_type_by_outlet_section(mentions, sources) -> dict:
-    out: dict[str, Any] = {}
-    for outlet in sources:
-        linked = [
-            m for m in mentions if m.source == outlet.key and m.org_link is not None
-        ]
-        counts = Counter(m.org_link.record.org_type for m in linked)
-        n = len(linked)
-        out[outlet.key] = {
-            "ideology": outlet.ideology.value,
-            "n_linked": n,
-            "counts": {t.value: counts.get(t, 0) for t in OrgType},
-            "shares": {
-                t.value: (counts.get(t, 0) / n if n else None) for t in OrgType
+            "shares": {g: (c / n if n else None) for g, c in counts.items()},
+            "bootstrap": {
+                g: _bootstrap_or_none(
+                    c, n, lambda k: k / n, f"gender_by_org_type/{org_type.value}/{g}", config
+                )
+                for g, c in counts.items()
             },
         }
     return out
 
 
-def _outlet_ratio_sections(mentions, sources, config) -> "tuple[dict, dict]":
+def _org_type_by_outlet_section(agg, sources) -> dict:
+    linked = agg.count(
+        lambda source, label, rec, _: None if rec is None else (source, rec.org_type)
+    )
+    out: dict[str, Any] = {}
+    for outlet in sources:
+        counts = {t: linked[outlet.key, t] for t in OrgType}
+        n = sum(counts.values())
+        out[outlet.key] = {
+            "ideology": outlet.ideology.value,
+            "n_linked": n,
+            "counts": {t.value: counts[t] for t in OrgType},
+            "shares": {t.value: (counts[t] / n if n else None) for t in OrgType},
+        }
+    return out
+
+
+def _outlet_ratio_sections(agg, sources, config) -> "tuple[dict, dict]":
+    by_outlet = agg.count(lambda source, label, *_: (source, label.merged))
     ratios: dict[str, Any] = {}
     by_ideology: dict[str, list[float]] = {"left": [], "right": []}
     for outlet in sources:
-        members = [m for m in mentions if m.source == outlet.key]
-        block = _ratio_block(members, f"outlet_ratios/{outlet.key}", config)
+        genders = {g: by_outlet[outlet.key, g] for g in MergedGender}
+        block = _ratio_block(genders, f"outlet_ratios/{outlet.key}", config)
         block["ideology"] = outlet.ideology.value
         ratios[outlet.key] = block
         if block["ratio"] is not None:
@@ -667,7 +721,7 @@ def _outlet_ratio_sections(mentions, sources, config) -> "tuple[dict, dict]":
     return ratios, ideology_test
 
 
-def _rank_attention_section(mentions, sources, resources, config) -> dict:
+def _rank_attention_section(agg, sources, resources, config) -> dict:
     world_ranks = sorted(
         r.world_rank for r in resources.gazetteers if r.world_rank is not None
     )
@@ -678,75 +732,64 @@ def _rank_attention_section(mentions, sources, resources, config) -> dict:
     )
     ideology_of = {outlet.key: outlet.ideology.value for outlet in sources}
 
-    def world(members) -> dict:
-        return _rank_block(members, world_ranks, lambda rec: rec.world_rank)
+    def world(keep: Callable[[str, MergedGender], bool]) -> Counter:
+        return agg.count(
+            lambda source, label, rec, _: rec.world_rank
+            if rec is not None and keep(ideology_of[source], label.merged)
+            else None
+        )
 
-    section = {
-        "overall": world(mentions),
-        "by_ideology": {
-            side: world([m for m in mentions if ideology_of.get(m.source) == side])
-            for side in ("left", "right")
-        },
-        "by_gender": {
-            gender.value: world(
-                [m for m in mentions if m.gender.merged is gender]
-            )
-            for gender in (MergedGender.MAN, MergedGender.WOMAN)
-        },
-        "public_health": _rank_block(
-            mentions, health_ranks, lambda rec: rec.public_health_rank
-        ),
+    def ranked(counts: Counter) -> dict:
+        return {r: counts.get(r, 0) for r in world_ranks}
+
+    sides = {s: world(lambda side, gender: side == s) for s in ("left", "right")}
+    genders = {
+        g.value: world(lambda side, gender: gender is g)
+        for g in (MergedGender.MAN, MergedGender.WOMAN)
     }
-
     # cumulative top-n share curves per gender over world rank
     cumulative: dict[str, Any] = {"cut_points": list(config.top_cut_points)}
-    for gender in (MergedGender.MAN, MergedGender.WOMAN):
-        counts = section["by_gender"][gender.value]["counts_by_rank"]
-        by_rank = {int(r): c for r, c in counts.items()}
+    for gender, counts in genders.items():
         shares, reason = _try(
-            lambda: stats.cumulative_topn(by_rank, config.top_cut_points)
+            lambda: stats.cumulative_topn(ranked(counts), config.top_cut_points)
         )
-        cumulative[gender.value] = {"shares": shares, "reason": reason}
-    section["cumulative_by_gender"] = cumulative
-
+        cumulative[gender] = {"shares": shares, "reason": reason}
     # per-bin left/right shares of academic attention over world rank
-    left = section["by_ideology"]["left"]["counts_by_rank"]
-    right = section["by_ideology"]["right"]["counts_by_rank"]
     binned, reason = _try(
         lambda: stats.binned_shares(
-            {
-                "left": {int(r): c for r, c in left.items()},
-                "right": {int(r): c for r, c in right.items()},
-            },
-            config.bin_width,
+            {side: ranked(counts) for side, counts in sides.items()}, config.bin_width
         )
     )
-    section["binned_by_ideology"] = {
-        "bin_width": config.bin_width,
-        "shares": binned,
-        "reason": reason,
-    }
-    return section
-
-
-def _sentence_length_section(mentions) -> dict:
-    men = [
-        float(m.sentence_char_length)
-        for m in mentions
-        if m.gender.merged is MergedGender.MAN
-    ]
-    women = [
-        float(m.sentence_char_length)
-        for m in mentions
-        if m.gender.merged is MergedGender.WOMAN
-    ]
-    test, reason = _try(lambda: stats.welch_t(men, women))
     return {
-        "men": {"n": len(men), "mean_chars": sum(men) / len(men) if men else None},
-        "women": {
-            "n": len(women),
-            "mean_chars": sum(women) / len(women) if women else None,
+        "overall": _rank_block(world(lambda side, gender: True), world_ranks),
+        "by_ideology": {s: _rank_block(c, world_ranks) for s, c in sides.items()},
+        "by_gender": {g: _rank_block(c, world_ranks) for g, c in genders.items()},
+        "public_health": _rank_block(
+            agg.count(lambda source, label, rec, _: rec and rec.public_health_rank),
+            health_ranks,
+        ),
+        "cumulative_by_gender": cumulative,
+        "binned_by_ideology": {
+            "bin_width": config.bin_width,
+            "shares": binned,
+            "reason": reason,
         },
+    }
+
+
+def _sentence_length_section(agg) -> dict:
+    men, women = agg.lengths[MergedGender.MAN], agg.lengths[MergedGender.WOMAN]
+    test, reason = _try(lambda: stats.welch_t_counts(men.items(), women.items()))
+
+    def block(lengths: Counter) -> dict:
+        # an exact integer total, so equal to any float sum of the lengths
+        n = sum(lengths.values())
+        total = sum(length * c for length, c in lengths.items())
+        return {"n": n, "mean_chars": total / n if n else None}
+
+    return {
+        "men": block(men),
+        "women": block(women),
         "welch": {
             "t": test.t if test else None,
             "df": test.df if test else None,
@@ -756,25 +799,14 @@ def _sentence_length_section(mentions) -> dict:
     }
 
 
-def _co_mention_section(mentions) -> dict:
-    genders_by_sentence: dict[tuple, set] = {}
-    for m in mentions:
-        genders_by_sentence.setdefault((m.article_id, m.sentence_index), set()).add(
-            m.gender.merged
-        )
-    man_sents = sum(1 for g in genders_by_sentence.values() if MergedGender.MAN in g)
-    woman_sents = sum(
-        1 for g in genders_by_sentence.values() if MergedGender.WOMAN in g
-    )
-    mixed = sum(
-        1
-        for g in genders_by_sentence.values()
-        if MergedGender.MAN in g and MergedGender.WOMAN in g
-    )
+def _co_mention_section(agg) -> dict:
+    masks = Counter(agg.sentences.values())
+    mixed = masks[_MAN_BIT | _WOMAN_BIT]
+    man_sents, woman_sents = masks[_MAN_BIT] + mixed, masks[_WOMAN_BIT] + mixed
     p_man_given_woman = mixed / woman_sents if woman_sents else None
     p_woman_given_man = mixed / man_sents if man_sents else None
     return {
-        "sentences_with_mentions": len(genders_by_sentence),
+        "sentences_with_mentions": len(agg.sentences),
         "man_sentences": man_sents,
         "woman_sentences": woman_sents,
         "mixed_sentences": mixed,
@@ -788,10 +820,10 @@ def _co_mention_section(mentions) -> dict:
     }
 
 
-def _provenance_section(mentions) -> dict:
+def _provenance_section(agg) -> dict:
     by_detector: Counter = Counter()
     by_combo: Counter = Counter()
-    for detectors, count in Counter(m.detectors for m in mentions).items():
+    for detectors, count in agg.count(lambda *row: row[3]).items():
         for d in detectors:
             by_detector[d.value] += count
         by_combo["+".join(sorted(d.value for d in detectors))] += count
@@ -834,9 +866,10 @@ def run_audit(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_mentions_jsonl(mentions, out / "mentions.jsonl")
-    return build_report(
+    report = build_report(
         mentions, sources, config, resources=resources, ingest=ingest, counters=counters
     )
+    return AuditReport(data=report.data, mentions=tuple(mentions))
 
 
 # ---------------------------------------------------------------------------
@@ -1042,23 +1075,16 @@ def sample_for_labeling(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    mentions = read_mentions_jsonl(mentions_path)
-    article_ids = sorted({m.article_id for m in mentions})
+    # two streaming passes: the article ids, then the chosen articles' rows
+    article_ids = sorted({m.article_id for m in read_mentions_jsonl(mentions_path)})
     if n > len(article_ids):
         raise ValueError(
             f"requested {n} articles but only {len(article_ids)} have extractions"
         )
     chosen = set(random.Random(seed).sample(article_ids, n))
     rows = [
-        [
-            m.article_id,
-            m.sentence_index,
-            m.sentence_text,
-            m.speaker_text,
-            m.org_text,
-            "",
-        ]
-        for m in mentions
+        [m.article_id, m.sentence_index, m.sentence_text, m.speaker_text, m.org_text, ""]
+        for m in read_mentions_jsonl(mentions_path)
         if m.article_id in chosen
     ]
     rows.sort(key=lambda r: (r[0], r[1], r[3]))

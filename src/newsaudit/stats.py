@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -270,13 +271,34 @@ def welch_t(a: Sample, b: Sample) -> WelchResult:
     Degrees of freedom follow Welch-Satterthwaite.  Raises if either
     sample has fewer than two values or both variances are zero.
     """
-    xs, ys = _as_floats(a), _as_floats(b)
-    if len(xs) < 2 or len(ys) < 2:
+    return welch_t_counts(
+        [(v, 1) for v in _as_floats(a)], [(v, 1) for v in _as_floats(b)]
+    )
+
+
+def welch_t_counts(
+    a: Collection[tuple[float, int]], b: Collection[tuple[float, int]]
+) -> WelchResult:
+    """``welch_t`` on samples given as (value, number of copies) pairs.
+
+    ``math.fsum`` rounds the exact sum of its terms once, in any order, and
+    each term is fed once per copy, so the result equals ``welch_t`` on the
+    expanded samples bit for bit while memory grows with the pairs only.
+    """
+    _as_floats([v for v, _ in a] + [v for v, _ in b])  # finite values only
+    na, nb = sum(c for _, c in a), sum(c for _, c in b)
+    if na < 2 or nb < 2:
         raise ValueError("each sample needs at least two values")
-    na, nb = len(xs), len(ys)
-    ma, mb = math.fsum(xs) / na, math.fsum(ys) / nb
-    va = math.fsum((v - ma) ** 2 for v in xs) / (na - 1)
-    vb = math.fsum((v - mb) ** 2 for v in ys) / (nb - 1)
+
+    def fsum(pairs: Collection[tuple[float, int]], term: Callable[[float], float]) -> float:
+        # a value with no copies adds no term, so its term is not computed
+        return math.fsum(
+            chain.from_iterable(repeat(term(float(v)), c) for v, c in pairs if c)
+        )
+
+    ma, mb = fsum(a, float) / na, fsum(b, float) / nb
+    va = fsum(a, lambda v: (v - ma) ** 2) / (na - 1)
+    vb = fsum(b, lambda v: (v - mb) ** 2) / (nb - 1)
     if va == 0.0 and vb == 0.0:
         raise ValueError("both variances are zero; t undefined")
     sa, sb = va / na, vb / nb

@@ -182,6 +182,27 @@ def test_mentions_line_missing_field_exits_cleanly(tmp_path, caplog, field):
     assert f"{mentions}:3:" in message and repr(field) in message
 
 
+def test_unconfigured_source_in_stats_exits_cleanly(tmp_path, caplog):
+    # a mention of an outlet sources.json lacks would count in the totals
+    # but in no outlet, so the file is rejected at that line
+    ext = tmp_path / "ext"
+    assert main(["extract", "--corpus", CORPUS, "--sources", SOURCES,
+                 "--out", str(ext)]) == EXIT_OK
+    lines = (ext / "mentions.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = json.loads(lines[0])
+    bad["source"] = "zzz"
+    lines[0] = json.dumps(bad)
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["stats", "--mentions", str(mentions), "--sources", SOURCES,
+                 "--out", str(out), "--formats", "json"])
+    assert code == EXIT_FATAL
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == f"{mentions}:1: source 'zzz' is not in the outlet config"
+    assert not (out / "report.json").exists()
+
+
 def test_mentions_line_not_an_object_exits_cleanly(tmp_path, caplog):
     mentions = tmp_path / "mentions.jsonl"
     mentions.write_text("[1, 2]\n", encoding="utf-8")

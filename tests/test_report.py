@@ -10,8 +10,8 @@ import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -373,8 +373,8 @@ def test_bootstrap_blocks_use_per_table_seeds(data):
     assert academic["bootstrap"]["Woman"] == _bs_dict(expected)
 
 
-def _members(*genders: MergedGender) -> list:
-    return [SimpleNamespace(gender=SimpleNamespace(merged=g)) for g in genders]
+def _members(*genders: MergedGender) -> Counter:
+    return Counter(genders)
 
 
 def test_ratio_block_edge_cases():
@@ -386,7 +386,7 @@ def test_ratio_block_edge_cases():
         "available": False, "reason": "all bootstrap replicates were non-finite"}
     men_only = _ratio_block(_members(*[MergedGender.MAN] * 4), "x", config)["bootstrap"]
     assert (men_only["mean"], men_only["ci_low"], men_only["ci_high"]) == (0.0, 0.0, 0.0)
-    for members in ([], _members(MergedGender.UNKNOWN)):
+    for members in (_members(), _members(MergedGender.UNKNOWN)):
         block = _ratio_block(members, "x", config)
         assert block["bootstrap"] == {"available": False, "reason": "empty sample"}
 
@@ -410,7 +410,7 @@ def test_mentions_jsonl_round_trip(report, tmp_path):
 
 def test_read_mentions_shares_equal_values(report, tmp_path):
     p1 = write_mentions_jsonl(report.mentions, tmp_path / "m1.jsonl")
-    back = read_mentions_jsonl(p1)
+    back = list(read_mentions_jsonl(p1))
     assert write_mentions_jsonl(back, tmp_path / "m2.jsonl").read_bytes() == p1.read_bytes()
     first = {}
     shared_records = 0
@@ -440,7 +440,7 @@ def test_read_mentions_keeps_distinct_records_apart(report, tmp_path):
         "".join(json.dumps({**base, "org_link": v}, sort_keys=True) + "\n" for v in variants * 2),
         encoding="utf-8",
     )
-    back = read_mentions_jsonl(path)
+    back = list(read_mentions_jsonl(path))
     records = [m.org_link.record for m in back]
     assert len({id(r) for r in records}) == len(variants)
     assert all(a is b for a, b in zip(records, records[len(variants):]))

@@ -251,6 +251,53 @@ def test_welch_t_antisymmetric():
     assert ab.df == pytest.approx(ba.df, abs=1e-12)
 
 
+def _reference_welch(a, b):
+    """Welch's t over the expanded value lists, as ``welch_t`` computed it
+    before it took (value, copies) pairs."""
+    xs, ys = [float(v) for v in a], [float(v) for v in b]
+    if any(math.isnan(v) or math.isinf(v) for v in xs + ys):
+        raise ValueError("values must be finite")
+    if len(xs) < 2 or len(ys) < 2:
+        raise ValueError("each sample needs at least two values")
+    na, nb = len(xs), len(ys)
+    ma, mb = math.fsum(xs) / na, math.fsum(ys) / nb
+    va = math.fsum((v - ma) ** 2 for v in xs) / (na - 1)
+    vb = math.fsum((v - mb) ** 2 for v in ys) / (nb - 1)
+    if va == 0.0 and vb == 0.0:
+        raise ValueError("both variances are zero; t undefined")
+    sa, sb = va / na, vb / nb
+    t = (ma - mb) / math.sqrt(sa + sb)
+    df = (sa + sb) ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1))
+    p = reg_inc_beta(df / 2.0, 0.5, df / (df + t * t)) if t != 0.0 else 1.0
+    return WelchResult(t=t, df=df, p_value=p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:  # squares of 1e300 overflow
+        return f"{type(exc).__name__}: {exc}"
+
+
+# few distinct values, so pairs carry repeats; signed zeros and a wide range
+_welch_value_st = st.sampled_from([0.0, -0.0, 1.0, 2.5, 94.0, 311.0, -7.25, 1e-300, 1e300])
+_pairs_st = st.lists(st.tuples(_welch_value_st, st.integers(0, 6)), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairs_st, _pairs_st)
+def test_welch_t_counts_equals_expanded_reference(a, b):
+    expand = lambda pairs: [v for v, c in pairs for _ in range(c)]  # noqa: E731
+    want = _outcome(_reference_welch, expand(a), expand(b))
+    assert _outcome(stats.welch_t_counts, a, b) == want
+    assert _outcome(welch_t, expand(a), expand(b)) == want
+
+
+def test_welch_t_counts_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="finite"):
+        stats.welch_t_counts([(1.0, 2), (math.inf, 1)], [(1.0, 3)])
+
+
 # ---------------------------------------------------------------------------
 # tail probabilities vs scipy
 
@@ -375,8 +422,8 @@ def _bootstrap_one_shot(values, statistic, config):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except ValueError as exc:
-        return str(exc)
+    except (ValueError, OverflowError) as exc:  # squares of 1e300 overflow
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _ratio_statistic(arr) -> float:
