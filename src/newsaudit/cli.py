@@ -22,7 +22,6 @@ from .report import (
     emit,
     extract_mentions,
     load_resources,
-    mention_sort_key,
     read_mentions_jsonl,
     run_audit,
     sample_for_labeling,
@@ -56,34 +55,36 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+#: The AuditConfig fields ``_add_stats_args`` defines, each under its own name.
+_STATS_FIELDS = ("seed", "bootstrap_iterations", "bin_width", "gender_mode")
+
+
 def _add_stats_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    p.add_argument("--seed", type=int, default=AuditConfig.seed, help="master random seed")
     p.add_argument(
-        "--bootstrap", type=int, default=1000, metavar="B", help="bootstrap iterations"
+        "--bootstrap", type=int, default=AuditConfig.bootstrap_iterations,
+        dest="bootstrap_iterations", metavar="B", help="bootstrap iterations",
     )
     p.add_argument(
-        "--bin-width", type=int, default=10, help="rank bin width for the binned table"
+        "--bin-width", type=int, default=AuditConfig.bin_width,
+        help="rank bin width for the binned table",
     )
     p.add_argument(
         "--gender-mode",
         choices=("first", "majority"),
-        default="first",
+        default=AuditConfig.gender_mode,
         help="unique-expert gender from first mention or majority over aliases",
     )
 
 
 def _config_from(args: argparse.Namespace) -> AuditConfig:
+    # a field the subcommand does not define keeps AuditConfig's default
     suppress = not (
         getattr(args, "no_outlet_suppression", False)
         or getattr(args, "paper_faithful", False)
     )
-    return AuditConfig(
-        seed=getattr(args, "seed", 0),
-        bootstrap_iterations=getattr(args, "bootstrap", 1000),
-        bin_width=getattr(args, "bin_width", 10),
-        outlet_suppression=suppress,
-        gender_mode=getattr(args, "gender_mode", "first"),
-    )
+    given = {name: getattr(args, name) for name in _STATS_FIELDS if hasattr(args, name)}
+    return AuditConfig(outlet_suppression=suppress, **given)
 
 
 def _parse_formats(raw: str) -> set:
@@ -167,10 +168,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     mentions, _ = extract_mentions(
         args.corpus, sources, resources, outlet_suppression=config.outlet_suppression
     )
-    mentions.sort(key=mention_sort_key)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = write_mentions_jsonl(mentions, out / "mentions.jsonl")
+    path = write_mentions_jsonl(mentions, Path(args.out) / "mentions.jsonl")
     print(f"mentions={len(mentions)} file={path}")
     return EXIT_EMPTY if not mentions else EXIT_OK
 

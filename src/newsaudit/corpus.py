@@ -12,7 +12,8 @@ import json
 import logging
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from operator import itemgetter
@@ -117,13 +118,25 @@ class Article:
 
 @dataclass
 class IngestStats:
-    """Counters accumulated while reading a corpus file."""
+    """What one run read, skipped and segmented.
+
+    ``parse_article_stream`` fills the ``LINE_COUNTS``; the extraction loop
+    counts sentences, articles per outlet key, and articles per source key
+    that has no outlet configuration.
+    """
 
     total_lines: int = 0
     articles: int = 0
     skipped_malformed: int = 0
     skipped_missing_fields: int = 0
     skipped_duplicate_id: int = 0
+    sentences: int = 0
+    articles_by_outlet: Counter = field(default_factory=Counter)
+    skipped_unconfigured_sources: Counter = field(default_factory=Counter)
+
+    #: Non-blank lines, articles yielded, and lines skipped by reason.
+    LINE_COUNTS = ("total_lines", "articles", "skipped_malformed",
+                   "skipped_missing_fields", "skipped_duplicate_id")
 
 
 _REQUIRED_FIELDS = ("id", "source", "published_at", "title", "body")

@@ -10,7 +10,7 @@ total over empty reports.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 MAN_COLOR = "#4878a8"
@@ -19,6 +19,8 @@ UNKNOWN_COLOR = "#9a9a9a"
 LEFT_COLOR = "#4878a8"
 RIGHT_COLOR = "#d65f5f"
 AXIS_COLOR = "#444444"
+
+_MEN_WOMEN = ((MAN_COLOR, "men"), (WOMAN_COLOR, "women"))  # legend items
 
 _WIDTH = 640
 _HEIGHT = 400
@@ -61,6 +63,15 @@ def _rect(x, y, w, h, fill) -> str:
 
 def _circle(cx, cy, r, fill) -> str:
     return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}"/>'
+
+
+def _legend(x: float, y: float, items: Sequence, dx: float, dy: float) -> list:
+    """A swatch and label per (color, label) item, the i-th at (x + i*dx, y + i*dy)."""
+    parts = []
+    for i, (color, label) in enumerate(items):
+        sx, sy = x + i * dx, y + i * dy
+        parts += [_rect(sx, sy, 12, 12, color), _text(sx + 18, sy + 10, label, size=11)]
+    return parts
 
 
 def _placeholder(title: str) -> str:
@@ -133,10 +144,7 @@ def gender_pies(data: Mapping[str, Any]) -> str:
                 size=11,
             )
         )
-    parts.append(_rect(480, 40, 12, 12, MAN_COLOR))
-    parts.append(_text(498, 50, "men", size=11))
-    parts.append(_rect(480, 58, 12, 12, WOMAN_COLOR))
-    parts.append(_text(498, 68, "women", size=11))
+    parts += _legend(480, 40, _MEN_WOMEN, 0, 18)
     return _svg(parts)
 
 
@@ -179,9 +187,7 @@ def gender_by_org_type(data: Mapping[str, Any]) -> str:
         parts.append(
             _text(gx, baseline + 18, f"{org_type} (n={block['n']})", size=11, anchor="middle")
         )
-    for i, gender in enumerate(("Man", "Woman", "Unknown")):
-        parts.append(_rect(x0 + i * 110, baseline + 34, 12, 12, colors[gender]))
-        parts.append(_text(x0 + i * 110 + 18, baseline + 44, gender.lower(), size=11))
+    parts += _legend(x0, baseline + 34, [(c, g.lower()) for g, c in colors.items()], 110, 0)
     return _svg(parts)
 
 
@@ -253,10 +259,8 @@ def binned_attention(data: Mapping[str, Any]) -> str:
         parts.append(
             _text(gx, baseline + 16, f"{i * width + 1}-{(i + 1) * width}", size=9, anchor="middle")
         )
-    parts.append(_rect(x0, baseline + 30, 12, 12, LEFT_COLOR))
-    parts.append(_text(x0 + 18, baseline + 40, "left-leaning", size=11))
-    parts.append(_rect(x0 + 120, baseline + 30, 12, 12, RIGHT_COLOR))
-    parts.append(_text(x0 + 138, baseline + 40, "right-leaning", size=11))
+    sides = ((LEFT_COLOR, "left-leaning"), (RIGHT_COLOR, "right-leaning"))
+    parts += _legend(x0, baseline + 30, sides, 120, 0)
     return _svg(parts)
 
 
@@ -292,10 +296,7 @@ def cumulative_attention(data: Mapping[str, Any]) -> str:
     if not drew_any:
         return _placeholder("Cumulative attention")
     parts.append(_text(x0 + plot_w / 2, baseline + 30, "top-n world rank cutoff", size=11, anchor="middle"))
-    parts.append(_rect(x0, baseline + 40, 12, 12, MAN_COLOR))
-    parts.append(_text(x0 + 18, baseline + 50, "men", size=11))
-    parts.append(_rect(x0 + 80, baseline + 40, 12, 12, WOMAN_COLOR))
-    parts.append(_text(x0 + 98, baseline + 50, "women", size=11))
+    parts += _legend(x0, baseline + 40, _MEN_WOMEN, 80, 0)
     return _svg(parts)
 
 

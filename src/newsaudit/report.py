@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import random
+import sys
 import zlib
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
@@ -90,6 +91,9 @@ class ExpertMention:
     def __post_init__(self) -> None:
         if self.sentence_char_length <= 0:
             raise ValueError("sentence_char_length must be positive")
+        if self.sentence_char_length > sys.maxsize:
+            # no str is that long
+            raise ValueError("sentence_char_length exceeds sys.maxsize")
         if self.org_link is not None and self.org_link.score < MATCH_THRESHOLD:
             raise ValueError("org_link score below match threshold")
         if not self.detectors:
@@ -194,15 +198,7 @@ class AuditConfig:
             raise ValueError("gender_mode must be 'first' or 'majority'")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "bootstrap_iterations": self.bootstrap_iterations,
-            "confidence": self.confidence,
-            "bin_width": self.bin_width,
-            "outlet_suppression": self.outlet_suppression,
-            "gender_mode": self.gender_mode,
-            "top_cut_points": list(self.top_cut_points),
-        }
+        return {**asdict(self), "top_cut_points": list(self.top_cut_points)}
 
 
 @dataclass(frozen=True)
@@ -255,41 +251,41 @@ class AuditReport:
 # extraction
 
 
+def mention_sort_key(m: ExpertMention) -> tuple:
+    """The deterministic order of mentions in every artifact."""
+    return (m.article_id, m.sentence_index, m.speaker_text, m.org_text)
+
+
 def extract_mentions(
     corpus_path: "str | Path",
     sources: SourceConfig,
     resources: Resources,
     outlet_suppression: bool = True,
-    ingest: IngestStats | None = None,
-) -> "tuple[list[ExpertMention], dict]":
+) -> "tuple[list[ExpertMention], IngestStats]":
     """Run the sentence pipeline over a corpus file.
 
-    Returns the mention list (article order, then sentence index, then
-    reported-speech position) and a counters dict: segmented sentences,
+    Returns the mentions, sorted by ``mention_sort_key``, and the run's
+    ``IngestStats``: the line-level ingest counts, segmented sentences,
     articles per outlet, and articles skipped because their source key
     has no outlet configuration.
     """
     gaz_names = tuple(r.name for r in resources.gazetteers)
     detect_names: dict[str, tuple] = {}
     mentions: list[ExpertMention] = []
-    counters = {
-        "sentences": 0,
-        "articles_by_outlet": Counter(),
-        "skipped_unconfigured_sources": Counter(),
-    }
-    for article in parse_article_stream(corpus_path, stats=ingest):
+    counts = IngestStats()
+    for article in parse_article_stream(corpus_path, stats=counts):
         outlet = sources.get(article.source)
         if outlet is None:
             log.warning(
                 "article %s: source %r not configured; skipping", article.id, article.source
             )
-            counters["skipped_unconfigured_sources"][article.source] += 1
+            counts.skipped_unconfigured_sources[article.source] += 1
             continue
-        counters["articles_by_outlet"][outlet.key] += 1
+        counts.articles_by_outlet[outlet.key] += 1
         if outlet.key not in detect_names:
             detect_names[outlet.key] = gaz_names + tuple(outlet.self_org_names)
         for sentence in segment_sentences(article.body, article_ref=article.id):
-            counters["sentences"] += 1
+            counts.sentences += 1
             cands = run_detectors(sentence, resources.lexicon)
             if not cands:
                 continue
@@ -324,16 +320,14 @@ def extract_mentions(
                         detectors=cand.detectors,
                     )
                 )
-    return mentions, counters
-
-
-def mention_sort_key(m: ExpertMention) -> tuple:
-    """The deterministic order of mentions in every artifact."""
-    return (m.article_id, m.sentence_index, m.speaker_text, m.org_text)
+    mentions.sort(key=mention_sort_key)
+    return mentions, counts
 
 
 def write_mentions_jsonl(mentions: Sequence[ExpertMention], path: "str | Path") -> Path:
+    """Write one JSON line per mention, creating the parent directory."""
     p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("w", encoding="utf-8") as fh:
         for m in mentions:
             fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
@@ -359,7 +353,10 @@ def read_mentions_jsonl(
                 mention = _mention_from_dict(json.loads(line), shared)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: mention lacks {exc}") from None
-            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+            except (
+                AttributeError, TypeError, ValueError, OverflowError, RecursionError
+            ) as exc:
+                # OverflowError: a length of 1e400 reads as inf, which int() rejects
                 raise ValueError(f"{path}:{lineno}: malformed mention: {exc}") from None
             if sources is not None and mention.source not in sources:
                 raise ValueError(
@@ -392,14 +389,7 @@ def _bs_config(label: str, config: AuditConfig) -> stats.BootstrapConfig:
 def _bs_dict(result: "stats.BootstrapResult | None", reason: "str | None" = None) -> dict:
     if result is None:
         return {"available": False, "reason": reason}
-    return {
-        "available": True,
-        "mean": result.mean,
-        "std": result.std,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "iterations": result.iterations,
-    }
+    return {"available": True, **asdict(result)}
 
 
 def _bootstrap_or_none(
@@ -560,14 +550,15 @@ def build_report(
     sources: SourceConfig,
     config: AuditConfig,
     resources: "Resources | None" = None,
-    ingest: "IngestStats | None" = None,
-    counters: "Mapping[str, Any] | None" = None,
+    counts: "IngestStats | None" = None,
 ) -> AuditReport:
     """Assemble every table of the audit from enriched mentions.
 
     ``mentions`` is iterated once, in any order, and not kept: each table
     is built from the counts it folds into.  A mention whose source
-    ``sources`` does not configure raises a ValueError.
+    ``sources`` does not configure raises a ValueError.  ``counts`` is the
+    ``IngestStats`` that ``extract_mentions`` returned for these mentions;
+    without it (a mentions file has none) every corpus count is null.
     """
     if resources is None:
         resources = load_resources()
@@ -578,7 +569,7 @@ def build_report(
         raise ValueError(f"mention source {unconfigured[0]!r} is not in the outlet config")
     data: dict[str, Any] = {
         "config": config.to_dict(),
-        "corpus": _corpus_section(by_source, sources, ingest, counters),
+        "corpus": _corpus_section(by_source, sources, counts),
         "empty": not by_source,
     }
     if not by_source:
@@ -601,25 +592,26 @@ def build_report(
     return AuditReport(data=data)
 
 
-def _corpus_section(mention_counts, sources, ingest, counters) -> dict:
-    # ingest and counters come from extract_mentions; a mentions file has neither
-    articles = None if counters is None else counters.get("articles_by_outlet", {})
-    return {
+def _corpus_section(mention_counts, sources, counts: "IngestStats | None") -> dict:
+    # a mentions file carries no corpus counts, so under ``stats`` all are null
+    known = counts is not None
+    section = {
         "outlets": {
             outlet.key: {
                 "display_name": outlet.display_name,
                 "ideology": outlet.ideology.value,
-                "articles": None if articles is None else int(articles.get(outlet.key, 0)),
+                "articles": counts.articles_by_outlet[outlet.key] if known else None,
                 "mentions": mention_counts.get(outlet.key, 0),
             }
             for outlet in sources
         },
-        "sentences": counters.get("sentences") if counters else None,
-        "skipped_unconfigured_sources": dict(counters.get("skipped_unconfigured_sources", {}))
-        if counters
-        else None,
-        "ingest": None if ingest is None else asdict(ingest),
+        "sentences": None, "skipped_unconfigured_sources": None, "ingest": None,
     }
+    if known:
+        section["sentences"] = counts.sentences
+        section["skipped_unconfigured_sources"] = dict(counts.skipped_unconfigured_sources)
+        section["ingest"] = {name: getattr(counts, name) for name in IngestStats.LINE_COUNTS}
+    return section
 
 
 def _totals_section(agg, genders, experts, resources, config) -> dict:
@@ -853,22 +845,12 @@ def run_audit(
     config = config or AuditConfig()
     sources = load_source_config(sources_path)
     resources = load_resources(gazetteer_dir)
-    ingest = IngestStats()
-    mentions, counters = extract_mentions(
-        corpus_path,
-        sources,
-        resources,
-        outlet_suppression=config.outlet_suppression,
-        ingest=ingest,
+    mentions, counts = extract_mentions(
+        corpus_path, sources, resources, outlet_suppression=config.outlet_suppression
     )
-    mentions.sort(key=mention_sort_key)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_mentions_jsonl(mentions, out / "mentions.jsonl")
-    report = build_report(
-        mentions, sources, config, resources=resources, ingest=ingest, counters=counters
-    )
+        write_mentions_jsonl(mentions, Path(out_dir) / "mentions.jsonl")
+    report = build_report(mentions, sources, config, resources=resources, counts=counts)
     return AuditReport(data=report.data, mentions=tuple(mentions))
 
 

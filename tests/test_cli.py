@@ -1,14 +1,17 @@
 """Command-line behavior: exit codes, artifacts on disk, subcommand parity."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from newsaudit.cli import EXIT_EMPTY, EXIT_FATAL, EXIT_OK, main
+from newsaudit.cli import (
+    EXIT_EMPTY, EXIT_FATAL, EXIT_OK, _config_from, build_parser, main,
+)
 from newsaudit.orglink import default_gazetteer_dir
-from newsaudit.report import fixture_dir
+from newsaudit.report import AuditConfig, fixture_dir
 
 CORPUS = str(fixture_dir() / "corpus.jsonl")
 SOURCES = str(fixture_dir() / "sources.json")
@@ -255,19 +258,33 @@ def test_bad_ideology_names_the_sources_file(tmp_path, caplog):
     assert record.getMessage().startswith(f"{path}: outlet 'nyt': ideology must be")
 
 
-def test_deeply_nested_mentions_line_exits_cleanly(tmp_path, caplog):
+def _with_length(line: str, raw: str) -> str:
+    # JSON text json.dumps cannot write: 1e400 reads back as inf
+    return re.sub(r'"sentence_char_length": \d+', f'"sentence_char_length": {raw}', line)
+
+
+@pytest.mark.parametrize(
+    "lineno, edit",
+    [
+        (2, lambda line: DEEPLY_NESTED),
+        (1, lambda line: _with_length(line, "1e400")),
+        (1, lambda line: _with_length(line, "9" * 401)),
+    ],
+    ids=["nested", "length-1e400", "length-401-digits"],
+)
+def test_deeply_nested_mentions_line_exits_cleanly(tmp_path, caplog, lineno, edit):
     ext = tmp_path / "ext"
     assert main(["extract", "--corpus", CORPUS, "--sources", SOURCES,
                  "--out", str(ext)]) == EXIT_OK
     lines = (ext / "mentions.jsonl").read_text(encoding="utf-8").splitlines()
-    lines[1] = DEEPLY_NESTED
+    lines[lineno - 1] = edit(lines[lineno - 1])
     mentions = tmp_path / "mentions.jsonl"
     mentions.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = main(["stats", "--mentions", str(mentions), "--sources", SOURCES,
                  "--out", str(tmp_path / "out"), "--formats", "json"])
     assert code == EXIT_FATAL
-    message = caplog.records[-1].getMessage()
-    assert message.startswith(f"{mentions}:2: malformed mention")
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage().startswith(f"{mentions}:{lineno}: malformed mention")
 
 
 @pytest.mark.parametrize("filename", ["universities.csv", "public_health.csv"])
@@ -286,3 +303,98 @@ def test_malformed_gazetteer_row_exits_cleanly(tmp_path, caplog, filename, row):
     message = caplog.records[-1].getMessage()
     assert str(gaz / filename) in message and repr(row) in message
     assert "\n" not in message
+
+
+def _outlets(articles, mentions):
+    # the fixture's six outlets: key -> (display name, ideology)
+    names = {"nyt": ("New York Times", "left"), "cnn": ("CNN", "left"),
+             "huff": ("HuffPost", "left"), "fox": ("Fox News", "right"),
+             "nyp": ("New York Post", "right"), "breit": ("Breitbart", "right")}
+    return {
+        key: {"display_name": name, "ideology": ideology,
+              "articles": articles.get(key, 0) if articles is not None else None,
+              "mentions": mentions.get(key, 0)}
+        for key, (name, ideology) in names.items()
+    }
+
+
+@pytest.fixture
+def skip_corpus(tmp_path):
+    """Four fixture articles, then one line for each reason a line is skipped."""
+    by_id = {}
+    with open(CORPUS, encoding="utf-8") as fh:
+        for line in fh:
+            record = json.loads(line)
+            by_id[record["id"]] = record
+    rows = [json.dumps(by_id[i]) for i in ("a01", "a02", "a11", "a20")]
+    rows += [
+        "{not json",                                           # malformed JSON
+        "[1, 2]",                                              # not an object
+        json.dumps({"id": "x1", "source": "nyt"}),             # missing fields
+        json.dumps({**by_id["a03"], "id": ""}),                # empty id
+        json.dumps(by_id["a02"]),                              # duplicate id
+        json.dumps({**by_id["a05"], "id": "z1", "source": "zzz"}),  # unconfigured
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+def test_corpus_section_counts_every_skip_reason(tmp_path, skip_corpus):
+    out = tmp_path / "audit"
+    assert main(["audit", "--corpus", str(skip_corpus), "--sources", SOURCES,
+                 "--out", str(out), "--formats", "json"]) == EXIT_OK
+    corpus = json.loads((out / "report.json").read_text(encoding="utf-8"))["corpus"]
+    assert corpus == {
+        "outlets": _outlets({"nyt": 2, "fox": 1, "breit": 1}, {"nyt": 4, "fox": 1}),
+        "sentences": 9,
+        "skipped_unconfigured_sources": {"zzz": 1},
+        "ingest": {
+            "total_lines": 10,
+            "articles": 5,
+            "skipped_malformed": 2,
+            "skipped_missing_fields": 2,
+            "skipped_duplicate_id": 1,
+        },
+    }
+
+
+def test_stats_corpus_section_has_null_counts(tmp_path, skip_corpus):
+    audit = tmp_path / "audit"
+    assert main(["audit", "--corpus", str(skip_corpus), "--sources", SOURCES,
+                 "--out", str(audit), "--formats", "json"]) == EXIT_OK
+    out = tmp_path / "stats"
+    assert main(["stats", "--mentions", str(audit / "mentions.jsonl"),
+                 "--sources", SOURCES, "--out", str(out), "--formats", "json"]) == EXIT_OK
+    corpus = json.loads((out / "report.json").read_text(encoding="utf-8"))["corpus"]
+    assert corpus == {
+        "outlets": _outlets(None, {"nyt": 4, "fox": 1}),
+        "sentences": None,
+        "skipped_unconfigured_sources": None,
+        "ingest": None,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--corpus", CORPUS, "--sources", SOURCES, "--out", "out"],
+        ["extract", "--corpus", CORPUS, "--sources", SOURCES, "--out", "out"],
+        ["stats", "--mentions", "m.jsonl", "--sources", SOURCES, "--out", "out"],
+    ],
+    ids=["audit", "extract", "stats"],
+)
+def test_subcommand_without_flags_uses_audit_config_defaults(argv):
+    assert _config_from(build_parser().parse_args(argv)) == AuditConfig()
+
+
+def test_stats_flags_reach_audit_config():
+    args = build_parser().parse_args(
+        ["audit", "--corpus", CORPUS, "--sources", SOURCES, "--out", "out",
+         "--seed", "3", "--bootstrap", "7", "--bin-width", "5",
+         "--gender-mode", "majority", "--no-outlet-suppression"]
+    )
+    assert _config_from(args) == AuditConfig(
+        seed=3, bootstrap_iterations=7, bin_width=5, gender_mode="majority",
+        outlet_suppression=False,
+    )
