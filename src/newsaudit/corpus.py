@@ -152,8 +152,9 @@ def parse_article_stream(
 ) -> Iterator[Article]:
     """Yield Articles from a JSONL file, lazily.
 
-    Malformed lines, records missing required fields, and records whose
-    id was already seen are skipped with a warning; pass an IngestStats
+    Malformed lines (a title or body that is not a string among them),
+    records missing required fields, and records whose id was already
+    seen are skipped with a warning; pass an IngestStats
     to observe the counts.  An unreadable file raises at once.  Curly
     double quotes in title and body are normalized to straight quotes.
     """
@@ -185,13 +186,19 @@ def parse_article_stream(
                 log.warning("%s:%d: skipping record missing %s", p, lineno, missing)
                 stats.skipped_missing_fields += 1
                 continue
+            not_text = [f for f in ("title", "body") if not isinstance(record[f], str)]
+            if not_text:
+                log.warning("%s:%d: skipping record whose %s is not a string",
+                            p, lineno, " and ".join(not_text))
+                stats.skipped_malformed += 1
+                continue
             try:
                 article = Article(
                     id=str(record["id"]),
                     source=str(record["source"]),
                     published_at=_parse_timestamp(record["published_at"]),
-                    title=normalize_quotes(str(record["title"])),
-                    body=normalize_quotes(str(record["body"])),
+                    title=normalize_quotes(record["title"]),
+                    body=normalize_quotes(record["body"]),
                 )
             except (TypeError, ValueError, AttributeError) as exc:
                 log.warning("%s:%d: skipping unparsable record (%s)", p, lineno, exc)
@@ -228,22 +235,26 @@ ABBREVIATIONS = (
     "St.", "U.S.", "Inc.", "No.",
 )
 
-_WORD_CHAR = re.compile(r"[A-Za-z0-9]")
 _TERMINATOR = re.compile(r"[.!?]")
+
+# A listed abbreviation or a lone capital ("Gustave F. Perna" has an
+# initial, not a terminator), ending the searched text and preceded by a
+# non-word character or the start of the body.
+_ABBREVIATION_END = re.compile(
+    r"(?<![A-Za-z0-9])(?:%s|[A-Z])\.$"
+    % "|".join(re.escape(abbr[:-1]) for abbr in ABBREVIATIONS)
+)
+_LONGEST_ABBREVIATION = max(map(len, ABBREVIATIONS))
 
 
 def _is_abbreviation_period(body: str, i: int) -> bool:
-    for abbr in ABBREVIATIONS:
-        start = i + 1 - len(abbr)
-        if start < 0 or body[start:i + 1] != abbr:
-            continue
-        if start == 0 or not _WORD_CHAR.match(body[start - 1]):
-            return True
-    # A lone capital ("Gustave F. Perna") is an initial, not a terminator.
-    if i >= 1 and "A" <= body[i - 1] <= "Z":
-        if i == 1 or not _WORD_CHAR.match(body[i - 2]):
-            return True
-    return False
+    """Whether the period at ``body[i]`` closes an abbreviation or initial.
+
+    The search covers the longest abbreviation; its lookbehind still reads
+    the character before that stretch, which a slice would cut off.
+    """
+    start = max(0, i + 1 - _LONGEST_ABBREVIATION)
+    return _ABBREVIATION_END.search(body, start, i + 1) is not None
 
 
 def _quote_regions(body: str) -> list[tuple[int, int]]:

@@ -186,6 +186,7 @@ def load_stoplist(path: "str | Path | None" = None) -> frozenset[str]:
 
 def find_person_mentions(
     sentence,
+    toks: Sequence[_Token],
     first_name_dict: Mapping[str, RawGender],
     stoplist: frozenset[str],
     honorifics: frozenset[str],
@@ -199,10 +200,9 @@ def find_person_mentions(
     longer than four tokens or when they contain an institutional cue
     token ("Russell Sage Foundation" is an organization even though
     Russell is a first name).  A sentence-initial token on the stoplist
-    never starts a mention.
+    never starts a mention.  ``toks`` is ``_tokens`` of the sentence text.
     """
     text = getattr(sentence, "text", sentence)
-    toks = _tokens(text)
     mentions: list[PersonMention] = []
     i = 0
     while i < len(toks):
@@ -243,6 +243,7 @@ def find_person_mentions(
 
 def person_exclusion_spans(
     sentence,
+    toks: Sequence[_Token],
     mentions: Sequence[PersonMention],
     honorifics: frozenset[str],
 ) -> list[tuple[int, int]]:
@@ -251,9 +252,9 @@ def person_exclusion_spans(
     Passing these to :func:`find_org_mentions` lets "Dr. Jane Doe of the
     Food and Drug Administration" trim down to the agency name; the bare
     mention span would leave "Dr" stranded at the head of the run.
+    ``toks`` is ``_tokens`` of the sentence text.
     """
     text = getattr(sentence, "text", sentence)
-    toks = _tokens(text)
     ends = [t.end for t in toks]
     spans: list[tuple[int, int]] = []
     for m in mentions:
@@ -293,6 +294,7 @@ def _matches_any_name(
 
 def find_org_mentions(
     sentence,
+    toks: Sequence[_Token],
     gazetteer_names: Sequence[str],
     exclude_spans: Sequence[tuple[int, int]] = (),
 ) -> list[OrgMention]:
@@ -308,10 +310,10 @@ def find_org_mentions(
     qualifies if it contains an institutional cue token (plural "s"
     tolerated) or fuzzy-matches one of ``gazetteer_names`` at the shared
     threshold.  Mentions of fewer than three characters are dropped.
+    ``toks`` is ``_tokens`` of the sentence text.
     """
     text = getattr(sentence, "text", sentence)
     names_t = tuple(gazetteer_names)
-    toks = _tokens(text)
     mentions: list[OrgMention] = []
     run: list[_Token] = []
 

@@ -18,7 +18,14 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .corpus import _enclosing_region, _quote_regions
-from .entities import OrgMention, PersonMention, _is_cap, _matches_any_name, _tokens
+from .entities import (
+    _TOKEN_RE,
+    OrgMention,
+    PersonMention,
+    _Token,
+    _is_cap,
+    _matches_any_name,
+)
 from .orglink import MATCH_THRESHOLD, _text_lines
 
 
@@ -89,6 +96,16 @@ class ReportingVerbLexicon:
 
     def __contains__(self, verb: str) -> bool:
         return verb in self.verbs
+
+    def has_first_word(self, text: str) -> bool:
+        """Whether any token of ``text``, casefolded, starts a phrase.
+
+        Without such a token no phrase can match, so the clausal detector
+        finds nothing in the text and need not tokenize it.
+        """
+        return not self.phrases.keys().isdisjoint(
+            map(str.casefold, _TOKEN_RE.findall(text))
+        )
 
 
 def load_reporting_verbs(path: "str | Path | None" = None) -> ReportingVerbLexicon:
@@ -182,20 +199,24 @@ def _trim_end(text: str, start: int, end: int) -> int:
 
 
 def detect_clausal_complement(
-    sentence, lexicon: ReportingVerbLexicon
+    sentence, toks: Sequence[_Token], lexicon: ReportingVerbLexicon
 ) -> Optional[QuoteCandidate]:
     """Lexicon verb outside quotes with a capitalized subject window.
 
-    The speaker window runs from the clause start (just after the last
-    closing quote before the verb, else the sentence start) to the verb.
-    Reported speech is the first balanced quoted span when one exists,
-    otherwise the text after the verb; for tell-verbs one addressee word
-    or capitalized run after the verb is skipped first.
+    ``toks`` is ``entities._tokens`` of the sentence text.  The speaker
+    window runs from the clause start (just after the last closing quote
+    before the verb, else the sentence start) to the verb.  Reported
+    speech is the first balanced quoted span when one exists, otherwise
+    the text after the verb; for tell-verbs one addressee word or
+    capitalized run after the verb is skipped first.
     """
     text = _sentence_text(sentence)
     regions = _quote_regions(text)
-    toks = _tokens(text)
     phrases = lexicon.phrases
+    # Start of the last capitalized token before toks[i]: token starts
+    # increase, so the window [w0, toks[i].start) holds a capitalized
+    # token exactly when this start is >= w0.
+    last_cap = -1
 
     for i, tok in enumerate(toks):
         low = tok.text.casefold()
@@ -210,9 +231,7 @@ def detect_clausal_complement(
             verb_span = (tok.start, toks[j].end)
             k = bisect_right(regions, tok.start, key=itemgetter(1))
             window = (regions[k - 1][1] + 1 if k else 0, verb_span[0])
-            if not any(
-                _is_cap(t.text) for t in toks if window[0] <= t.start < window[1]
-            ):
+            if last_cap < window[0]:
                 continue
             rspeech, quoted = _clausal_rspeech(text, toks, regions, j, parts)
             return QuoteCandidate(
@@ -224,6 +243,8 @@ def detect_clausal_complement(
                 rspeech_quoted=quoted,
                 window_span=window,
             )
+        if _is_cap(tok.text):
+            last_cap = tok.start
     return None
 
 
@@ -305,11 +326,19 @@ def detect_according_to(sentence) -> Optional[QuoteCandidate]:
 # union
 
 
-def run_detectors(sentence, lexicon: ReportingVerbLexicon) -> list[QuoteCandidate]:
+def run_detectors(
+    sentence, toks: Optional[Sequence[_Token]], lexicon: ReportingVerbLexicon
+) -> list[QuoteCandidate]:
+    """The candidates of all three detectors for one sentence.
+
+    ``toks`` is ``entities._tokens`` of the sentence text, or None when
+    ``lexicon.has_first_word`` is false for it: the clausal detector can
+    then match nothing and does not run.
+    """
     out = []
     for cand in (
         detect_direct_pattern(sentence),
-        detect_clausal_complement(sentence, lexicon),
+        None if toks is None else detect_clausal_complement(sentence, toks, lexicon),
         detect_according_to(sentence),
     ):
         if cand is not None:

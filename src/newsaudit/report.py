@@ -36,6 +36,7 @@ from .entities import (
     GenderLabel,
     MergedGender,
     RawGender,
+    _tokens,
     classify_gender,
     find_org_mentions,
     find_person_mentions,
@@ -268,7 +269,13 @@ def extract_mentions(
     ``IngestStats``: the line-level ingest counts, segmented sentences,
     articles per outlet, and articles skipped because their source key
     has no outlet configuration.
+
+    Each sentence is tokenized at most once: before detection when a
+    token may start a reporting-verb phrase, so the clausal detector can
+    run, else only once some detector has found a candidate.  The one
+    token list then serves every entity finder.
     """
+    lexicon = resources.lexicon
     gaz_names = tuple(r.name for r in resources.gazetteers)
     detect_names: dict[str, tuple] = {}
     mentions: list[ExpertMention] = []
@@ -286,15 +293,23 @@ def extract_mentions(
             detect_names[outlet.key] = gaz_names + tuple(outlet.self_org_names)
         for sentence in segment_sentences(article.body, article_ref=article.id):
             counts.sentences += 1
-            cands = run_detectors(sentence, resources.lexicon)
+            text = sentence.text
+            toks = _tokens(text) if lexicon.has_first_word(text) else None
+            cands = run_detectors(sentence, toks, lexicon)
             if not cands:
                 continue
+            if toks is None:
+                toks = _tokens(text)
             persons = find_person_mentions(
-                sentence, resources.first_names, resources.stoplist, resources.honorifics
+                sentence,
+                toks,
+                resources.first_names,
+                resources.stoplist,
+                resources.honorifics,
             )
-            spans = person_exclusion_spans(sentence, persons, resources.honorifics)
+            spans = person_exclusion_spans(sentence, toks, persons, resources.honorifics)
             orgs = find_org_mentions(
-                sentence, detect_names[outlet.key], exclude_spans=spans
+                sentence, toks, detect_names[outlet.key], exclude_spans=spans
             )
             final = union_candidates(
                 cands,

@@ -25,6 +25,7 @@ import pytest
 from newsaudit import stats
 from newsaudit.cli import EXIT_OK, main
 from newsaudit.corpus import parse_article_stream, segment_sentences
+from newsaudit.entities import _tokens
 from newsaudit.extract import run_detectors
 from newsaudit.orglink import (
     OrgType,
@@ -276,7 +277,7 @@ def test_criterion_5_fixture_extraction_recovers_gold():
             for sent in segment_sentences(article.body, article.id):
                 if (article.id, sent.index) in distractors:
                     seen.add((article.id, sent.index))
-                    assert run_detectors(sent.text, resources.lexicon) == []
+                    assert run_detectors(sent.text, _tokens(sent.text), resources.lexicon) == []
         assert seen == distractors
 
 

@@ -97,6 +97,24 @@ def test_parse_bad_timestamp_skipped(tmp_path):
     assert stats.skipped_malformed == 1
 
 
+def test_parse_non_string_title_or_body_skipped(tmp_path, caplog):
+    # str() would audit a null body as the sentence "None"
+    f = tmp_path / "c.jsonl"
+    bad = [dict(GOOD, id="n", body=None), dict(GOOD, id="k", body=3),
+           dict(GOOD, id="l", title=["t"])]
+    _write_jsonl(f, bad + [dict(GOOD, id="a2", title="", body="")])
+    stats = IngestStats()
+    with caplog.at_level("WARNING", logger="newsaudit.corpus"):
+        arts = list(parse_article_stream(f, stats))
+    assert [a.id for a in arts] == ["a2"]
+    assert stats.skipped_malformed == 3 and stats.articles == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{f}:1: skipping record whose body is not a string",
+        f"{f}:2: skipping record whose body is not a string",
+        f"{f}:3: skipping record whose title is not a string",
+    ]
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)

@@ -15,6 +15,7 @@ from newsaudit.entities import (
     PersonMention,
     RawGender,
     UniqueExpert,
+    _tokens,
     classify_gender,
     find_org_mentions,
     find_person_mentions,
@@ -121,7 +122,7 @@ def test_overrides_have_full_name_keys(ov):
 
 
 def _persons(text, gd, stop, hon):
-    return find_person_mentions(text, gd, stop, hon)
+    return find_person_mentions(text, _tokens(text), gd, stop, hon)
 
 
 def test_person_honorific_trigger(gd, stop, hon):
@@ -203,7 +204,7 @@ def test_person_accepts_sentence_objects(gd, stop, hon):
     class Sent:
         text = 'Dr. Robert Redfield agreed.'
 
-    (m,) = find_person_mentions(Sent(), gd, stop, hon)
+    (m,) = find_person_mentions(Sent(), _tokens(Sent.text), gd, stop, hon)
     assert m.text == "Robert Redfield"
 
 
@@ -216,14 +217,18 @@ def test_person_none_found(gd, stop, hon):
 # org mentions
 
 
+def _orgs(text, names, exclude_spans=()):
+    return find_org_mentions(text, _tokens(text), names, exclude_spans)
+
+
 def test_org_cue_qualifies():
-    got = find_org_mentions('He was a virologist at Harvard University then.', _GAZ)
+    got = _orgs('He was a virologist at Harvard University then.', _GAZ)
     assert [m.text for m in got] == ["Harvard University"]
 
 
 def test_org_connectors_span_run():
     text = 'Contact tracers at the Centers for Disease Control and Prevention concurred.'
-    got = find_org_mentions(text, _GAZ)
+    got = _orgs(text, _GAZ)
     assert [m.text for m in got] == ["Centers for Disease Control and Prevention"]
 
 
@@ -231,48 +236,48 @@ def test_org_capitalized_prefix_joins_run():
     # A capitalized sentence opener followed by a connector rides along;
     # token-subset scoring still links the result to the right record, so
     # trimming is the linker's concern rather than the detector's.
-    got = find_org_mentions('Researchers at Harvard University replied.', _GAZ)
+    got = _orgs('Researchers at Harvard University replied.', _GAZ)
     assert [m.text for m in got] == ["Researchers at Harvard University"]
 
 
 def test_org_plural_cue():
-    got = find_org_mentions('The National Institutes of Health funded it.', _GAZ)
+    got = _orgs('The National Institutes of Health funded it.', _GAZ)
     assert [m.text for m in got] == ["National Institutes of Health"]
 
 
 def test_org_fuzzy_qualifies_without_cue():
-    got = find_org_mentions('Two fellows at the Heritage Foundation dissented.', _GAZ)
+    got = _orgs('Two fellows at the Heritage Foundation dissented.', _GAZ)
     assert [m.text for m in got] == ["Heritage Foundation"]
-    got = find_org_mentions('He spoke to Fox News on the record.', _GAZ)
+    got = _orgs('He spoke to Fox News on the record.', _GAZ)
     assert [m.text for m in got] == ["Fox News"]
 
 
 def test_org_leading_article_trimmed():
-    (m,) = find_org_mentions('Reporters pressed aides at the White House today.', _GAZ)
+    (m,) = _orgs('Reporters pressed aides at the White House today.', _GAZ)
     assert m.text == "White House"
 
 
 def test_org_unqualified_run_dropped():
-    assert find_org_mentions('The Outbreak Report drew criticism.', _GAZ) == []
+    assert _orgs('The Outbreak Report drew criticism.', _GAZ) == []
 
 
 def test_org_comma_breaks_run():
     text = 'Teams visited Harvard University, and Columbia University responded.'
-    got = find_org_mentions(text, _GAZ)
+    got = _orgs(text, _GAZ)
     assert [m.text for m in got] == ["Harvard University", "Columbia University"]
 
 
 def test_org_exclude_spans_masks_person(gd, stop, hon):
     text = 'Anthony Fauci of the National Institutes of Health said so.'
-    persons = find_person_mentions(text, gd, stop, hon)
-    got = find_org_mentions(text, _GAZ, exclude_spans=[p.span for p in persons])
+    persons = _persons(text, gd, stop, hon)
+    got = _orgs(text, _GAZ, exclude_spans=[p.span for p in persons])
     assert [m.text for m in got] == ["National Institutes of Health"]
 
 
 def test_org_without_mask_swallows_person(gd, stop, hon):
     # the masking parameter exists precisely because of this failure mode
     text = 'Rochelle Walensky University officials met.'
-    got = find_org_mentions(text, _GAZ)
+    got = _orgs(text, _GAZ)
     assert got and got[0].text.startswith("Rochelle")
 
 
@@ -280,23 +285,23 @@ def test_org_inner_person_span_does_not_split_run(gd, stop, hon):
     # Virginia is a first name; the exclusion span must not punch a hole
     # in the institution name
     text = '"The data are clear," said John Marsh of the University of Virginia.'
-    persons = find_person_mentions(text, gd, stop, hon)
+    persons = _persons(text, gd, stop, hon)
     assert "Virginia" in {p.text for p in persons}
-    spans = person_exclusion_spans(text, persons, hon)
-    got = find_org_mentions(text, ["University of Virginia"], exclude_spans=spans)
+    spans = person_exclusion_spans(text, _tokens(text), persons, hon)
+    got = _orgs(text, ["University of Virginia"], exclude_spans=spans)
     assert [m.text for m in got] == ["University of Virginia"]
 
 
 def test_org_exclusion_spans_widen_over_honorific(gd, stop, hon):
     text = 'Dr. Jane Doe of the Food and Drug Administration agreed.'
-    persons = find_person_mentions(text, gd, stop, hon)
-    spans = person_exclusion_spans(text, persons, hon)
-    got = find_org_mentions(text, _GAZ, exclude_spans=spans)
+    persons = _persons(text, gd, stop, hon)
+    spans = person_exclusion_spans(text, _tokens(text), persons, hon)
+    got = _orgs(text, _GAZ, exclude_spans=spans)
     assert [m.text for m in got] == ["Food and Drug Administration"]
 
 
 def test_org_connector_on_joins_run():
-    got = find_org_mentions(
+    got = _orgs(
         'Staff left the Council on Foreign Relations early.',
         ["Council on Foreign Relations"],
     )
@@ -305,7 +310,7 @@ def test_org_connector_on_joins_run():
 
 def test_org_spans_index_sentence():
     text = 'A report from the Heritage Foundation circulated widely.'
-    (m,) = find_org_mentions(text, _GAZ)
+    (m,) = _orgs(text, _GAZ)
     assert text[m.span[0]:m.span[1]] == m.text
 
 
@@ -315,13 +320,13 @@ def test_org_short_mention_rejected():
 
 
 def test_org_single_cue_token_is_a_mention():
-    (m,) = find_org_mentions('Hospitals filled within days.', _GAZ)
+    (m,) = _orgs('Hospitals filled within days.', _GAZ)
     assert m.text == "Hospitals"
 
 
 def test_org_none_found():
-    assert find_org_mentions('the quiet before the storm', _GAZ) == []
-    assert find_org_mentions('', _GAZ) == []
+    assert _orgs('the quiet before the storm', _GAZ) == []
+    assert _orgs('', _GAZ) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from newsaudit.corpus import Sentence
 from newsaudit.entities import (
+    _tokens,
     find_org_mentions,
     find_person_mentions,
     load_gender_dict,
@@ -47,11 +48,13 @@ def resources():
 
 def _entities(text, resources, extra_names=()):
     gd, stop, hon = resources
-    persons = find_person_mentions(text, gd, stop, hon)
+    toks = _tokens(text)
+    persons = find_person_mentions(text, toks, gd, stop, hon)
     orgs = find_org_mentions(
         text,
+        toks,
         list(_GAZ) + list(extra_names),
-        exclude_spans=person_exclusion_spans(text, persons, hon),
+        exclude_spans=person_exclusion_spans(text, toks, persons, hon),
     )
     return persons, orgs
 
@@ -59,7 +62,7 @@ def _entities(text, resources, extra_names=()):
 def _pipeline(text, lex, resources, outlet_names=(), suppress=True):
     persons, orgs = _entities(text, resources, outlet_names)
     return union_candidates(
-        run_detectors(text, lex),
+        run_detectors(text, _tokens(text), lex),
         persons,
         orgs,
         outlet_names=outlet_names,
@@ -161,7 +164,7 @@ def test_direct_first_match_wins():
 
 def test_clausal_told_reporters_with_affiliation(lex):
     text = "Dr. Robert Redfield of the CDC told reporters the agency would expand testing."
-    c = detect_clausal_complement(text, lex)
+    c = detect_clausal_complement(text, _tokens(text), lex)
     assert c is not None
     assert c.rverb == "told"
     assert text[slice(*c.window_span)] == "Dr. Robert Redfield of the CDC "
@@ -170,15 +173,18 @@ def test_clausal_told_reporters_with_affiliation(lex):
 
 
 def test_clausal_no_lexicon_verb(lex):
-    assert detect_clausal_complement("The virus spread quickly overnight.", lex) is None
+    text = "The virus spread quickly overnight."
+    assert detect_clausal_complement(text, _tokens(text), lex) is None
 
 
 def test_clausal_verb_inside_quotes_ignored(lex):
-    assert detect_clausal_complement('"They told us to wait," the memo noted they.', lex) is None
+    text = '"They told us to wait," the memo noted they.'
+    assert detect_clausal_complement(text, _tokens(text), lex) is None
 
 
 def test_clausal_requires_capitalized_subject(lex):
-    assert detect_clausal_complement("he told reporters the plan failed.", lex) is None
+    text = "he told reporters the plan failed."
+    assert detect_clausal_complement(text, _tokens(text), lex) is None
 
 
 def test_clausal_prefers_quoted_span(lex):
@@ -186,7 +192,7 @@ def test_clausal_prefers_quoted_span(lex):
         '"The government took a very important step, but they waited too long '
         'for this decision," Dr. Jose Luis Vargas Segura, a pulmonologist, told Fox News.'
     )
-    c = detect_clausal_complement(text, lex)
+    c = detect_clausal_complement(text, _tokens(text), lex)
     assert c is not None
     assert c.rspeech_quoted
     assert text[slice(*c.rspeech_span)].startswith("The government took")
@@ -194,26 +200,26 @@ def test_clausal_prefers_quoted_span(lex):
 
 def test_clausal_addressee_word_skipped(lex):
     text = "Maria Gonzalez told reporters that the ban would lift."
-    c = detect_clausal_complement(text, lex)
+    c = detect_clausal_complement(text, _tokens(text), lex)
     assert text[slice(*c.rspeech_span)] == "the ban would lift"
 
 
 def test_clausal_capitalized_addressee_run_skipped(lex):
     text = "Maria Gonzalez told The Daily Bugle the ban would lift."
-    c = detect_clausal_complement(text, lex)
+    c = detect_clausal_complement(text, _tokens(text), lex)
     assert text[slice(*c.rspeech_span)] == "the ban would lift"
 
 
 def test_clausal_multiword_phrase(lex):
     text = "Jane Doe pointed out the data lagged badly."
-    c = detect_clausal_complement(text, lex)
+    c = detect_clausal_complement(text, _tokens(text), lex)
     assert c is not None and c.rverb == "pointed out"
     assert text[slice(*c.rspeech_span)] == "the data lagged badly"
 
 
 def test_clausal_clause_start_after_quote(lex):
     text = '"Stay home," she said, and Maria Gonzalez added the rest would follow.'
-    c = detect_clausal_complement(text, lex)
+    c = detect_clausal_complement(text, _tokens(text), lex)
     assert c is not None
     assert c.rverb == "added"
     # with a balanced quote in the sentence, reported speech is that span
@@ -222,7 +228,8 @@ def test_clausal_clause_start_after_quote(lex):
 
 
 def test_clausal_verb_at_end(lex):
-    c = detect_clausal_complement("That is what Jane Doe said.", lex)
+    text = "That is what Jane Doe said."
+    c = detect_clausal_complement(text, _tokens(text), lex)
     assert c is not None
     assert c.rspeech_span[0] == c.rspeech_span[1]
 
@@ -285,7 +292,7 @@ def test_union_merges_overlapping_detections(lex, resources):
         "for Disease Control and Prevention, who told reporters the trend "
         "was alarming."
     )
-    cands = run_detectors(text, lex)
+    cands = run_detectors(text, _tokens(text), lex)
     assert len(cands) == 2
     final = _pipeline(text, lex, resources)
     assert len(final) == 1
@@ -317,7 +324,7 @@ def test_union_drops_candidate_without_person(lex, resources):
         "Cases doubled last week, according to the Centers for Disease "
         "Control and Prevention."
     )
-    assert len(run_detectors(text, lex)) == 1
+    assert len(run_detectors(text, _tokens(text), lex)) == 1
     assert _pipeline(text, lex, resources) == []
 
 
@@ -377,7 +384,7 @@ def test_union_monotone_in_detectors(lex, resources):
     for text in sentences:
         persons, orgs = _entities(text, resources)
         direct_only = [c for c in (detect_direct_pattern(text),) if c]
-        all_cands = run_detectors(text, lex)
+        all_cands = run_detectors(text, _tokens(text), lex)
         n_direct = len(union_candidates(direct_only, persons, orgs))
         n_all = len(union_candidates(all_cands, persons, orgs))
         assert n_all >= n_direct
@@ -400,9 +407,10 @@ def test_union_accepts_sentence_objects(lex, resources):
         text='"We must act now," said Anthony Fauci of the National Institutes of Health.',
     )
     gd, stop, hon = resources
-    persons = find_person_mentions(sent, gd, stop, hon)
-    orgs = find_org_mentions(sent, _GAZ, exclude_spans=[p.span for p in persons])
-    final = union_candidates(run_detectors(sent, lex), persons, orgs)
+    toks = _tokens(sent.text)
+    persons = find_person_mentions(sent, toks, gd, stop, hon)
+    orgs = find_org_mentions(sent, toks, _GAZ, exclude_spans=[p.span for p in persons])
+    final = union_candidates(run_detectors(sent, toks, lex), persons, orgs)
     assert final[0].sentence_ref is sent
 
 

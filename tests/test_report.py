@@ -17,7 +17,7 @@ import pytest
 
 from newsaudit import stats
 from newsaudit.corpus import load_source_config, parse_article_stream, segment_sentences
-from newsaudit.entities import MergedGender, classify_gender
+from newsaudit.entities import MergedGender, _tokens, classify_gender
 from newsaudit.extract import run_detectors
 from newsaudit.report import (
     AuditConfig,
@@ -101,7 +101,7 @@ def test_distractor_sentences_produce_no_candidates():
         for sent in segment_sentences(article.body, article.id):
             if (article.id, sent.index) in distractors:
                 seen.add((article.id, sent.index))
-                assert run_detectors(sent.text, resources.lexicon) == []
+                assert run_detectors(sent.text, _tokens(sent.text), resources.lexicon) == []
     assert seen == distractors
 
 
