@@ -140,6 +140,8 @@ class IngestStats:
 
 
 _REQUIRED_FIELDS = ("id", "source", "published_at", "title", "body")
+#: Required fields that must be strings: str() would read a null id as "None".
+_TEXT_FIELDS = ("id", "source", "title", "body")
 
 
 def _parse_timestamp(value: str) -> datetime:
@@ -152,10 +154,10 @@ def parse_article_stream(
 ) -> Iterator[Article]:
     """Yield Articles from a JSONL file, lazily.
 
-    Malformed lines (a title or body that is not a string among them),
-    records missing required fields, and records whose id was already
-    seen are skipped with a warning; pass an IngestStats
-    to observe the counts.  An unreadable file raises at once.  Curly
+    Malformed lines (an id, source, title or body that is not a string
+    among them), records missing required fields, and records whose id
+    was already seen are skipped with a warning; pass an IngestStats to
+    observe the counts.  An unreadable file raises at once.  Curly
     double quotes in title and body are normalized to straight quotes.
     """
     p = Path(path)
@@ -186,16 +188,17 @@ def parse_article_stream(
                 log.warning("%s:%d: skipping record missing %s", p, lineno, missing)
                 stats.skipped_missing_fields += 1
                 continue
-            not_text = [f for f in ("title", "body") if not isinstance(record[f], str)]
+            not_text = [f for f in _TEXT_FIELDS if not isinstance(record[f], str)]
             if not_text:
-                log.warning("%s:%d: skipping record whose %s is not a string",
-                            p, lineno, " and ".join(not_text))
+                log.warning("%s:%d: skipping record whose %s %s", p, lineno,
+                            " and ".join(not_text),
+                            "is not a string" if len(not_text) == 1 else "are not strings")
                 stats.skipped_malformed += 1
                 continue
             try:
                 article = Article(
-                    id=str(record["id"]),
-                    source=str(record["source"]),
+                    id=record["id"],
+                    source=record["source"],
                     published_at=_parse_timestamp(record["published_at"]),
                     title=normalize_quotes(record["title"]),
                     body=normalize_quotes(record["body"]),

@@ -19,8 +19,8 @@ import random
 import sys
 import zlib
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
-from operator import attrgetter
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -90,11 +90,7 @@ class ExpertMention:
     detectors: frozenset
 
     def __post_init__(self) -> None:
-        if self.sentence_char_length <= 0:
-            raise ValueError("sentence_char_length must be positive")
-        if self.sentence_char_length > sys.maxsize:
-            # no str is that long
-            raise ValueError("sentence_char_length exceeds sys.maxsize")
+        _check_length(self.sentence_char_length)
         if self.org_link is not None and self.org_link.score < MATCH_THRESHOLD:
             raise ValueError("org_link score below match threshold")
         if not self.detectors:
@@ -127,55 +123,113 @@ class ExpertMention:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ExpertMention":
-        return _mention_from_dict(d, {})
+        return cls(*_RowDecoder().row(d))
 
 
-def _shared(shared: dict, key: tuple, make: Callable[[], Any]) -> Any:
-    """The value built for ``key`` earlier in ``shared``, else ``make()``."""
-    value = shared.get(key)
-    if value is None:
-        value = shared[key] = make()
-    return value
+def _check_length(n: int) -> None:
+    if n <= 0:
+        raise ValueError("sentence_char_length must be positive")
+    if n > sys.maxsize:
+        # no str is that long
+        raise ValueError("sentence_char_length exceeds sys.maxsize")
 
 
-def _mention_from_dict(d: Mapping[str, Any], shared: dict) -> ExpertMention:
-    """``ExpertMention.from_dict`` that reuses, through ``shared``, one
-    OrgRecord, GenderLabel and detector set per distinct value; all three
-    are frozen, so mentions may share them."""
-    link = None
-    if d.get("org_link") is not None:
-        raw = d["org_link"]
-        ranks = (raw.get("world_rank"), raw.get("public_health_rank"))
-        # 1, 1.0 and True are equal keys; keep each rank's type so a shared
-        # record writes back exactly as every line that uses it was read
-        rec = _shared(
-            shared,
-            ("org", raw["name"], raw["org_type"], *ranks, *map(type, ranks)),
-            lambda: OrgRecord(raw["name"], OrgType(raw["org_type"]), *ranks),
-        )
-        link = OrgLink(mention_text=d["org_text"], record=rec, score=raw["score"])
-    return ExpertMention(
-        article_id=d["article_id"],
-        source=d["source"],
-        sentence_index=int(d["sentence_index"]),
-        sentence_text=d["sentence_text"],
-        sentence_char_length=int(d["sentence_char_length"]),
-        speaker_text=d["speaker_text"],
-        gender=_shared(
-            shared,
-            ("gender", d["gender_raw"], d["gender"]),
-            lambda: GenderLabel(
-                raw=RawGender(d["gender_raw"]), merged=MergedGender(d["gender"])
-            ),
-        ),
-        org_text=d["org_text"],
-        org_link=link,
-        detectors=_shared(
-            shared,
-            ("detectors", *d["detectors"]),
-            lambda: frozenset(Detector(v) for v in d["detectors"]),
-        ),
+#: A mention as a row: its field values in ``ExpertMention`` field order,
+#: the unit ``_Aggregate`` folds.
+_ROW = attrgetter(*(f.name for f in fields(ExpertMention)))
+
+#: The required keys of a ``to_dict`` mention, in the order ``_RowDecoder.row``
+#: reads them; ``org_link`` may be left out.
+_LINE_FIELDS = itemgetter(
+    "article_id", "source", "sentence_index", "sentence_text", "sentence_char_length",
+    "speaker_text", "gender_raw", "gender", "org_text", "detectors",
+)
+
+#: The per-line fields of a mention that must be a str or an int (not a bool).
+_TYPED_FIELDS = (
+    ("article_id", str), ("source", str), ("sentence_index", int),
+    ("sentence_text", str), ("sentence_char_length", int), ("speaker_text", str),
+    ("org_text", str),
+)
+
+
+def _type_error(values: Sequence[Any]) -> str:
+    """The message for the first of ``values`` (``_TYPED_FIELDS`` order) of a
+    wrong type."""
+    name, want, value = next(
+        (name, want, value) for (name, want), value in zip(_TYPED_FIELDS, values)
+        if type(value) is not want
     )
+    kind = "a string" if want is str else "an integer"
+    return f"{name} must be {kind}, not {type(value).__name__}"
+
+
+class _RowDecoder:
+    """Rows of decoded ``to_dict`` mentions, every ``ExpertMention`` check kept.
+
+    ``row(d)`` checks the per-line fields (strings, integers, a positive
+    length) on every call.  The values lines repeat are built and checked
+    once per distinct value and then shared, one memo lookup each: the
+    OrgLink, keyed on ``org_text`` and the link's values with their types,
+    and the (GenderLabel, detector set) pair, keyed on the raw values.  Below
+    those, one OrgRecord, GenderLabel and detector set per distinct value.
+    All are frozen, so rows may share them.
+    """
+
+    def __init__(self) -> None:
+        self._links: dict = {}
+        self._tags: dict = {}
+        self._records: dict = {}
+        self._labels: dict = {}
+        self._detector_sets: dict = {}
+
+    def row(self, d: Mapping[str, Any]) -> tuple:
+        (article_id, source, index, text, length, speaker, gender_raw, gender,
+         org_text, detectors) = _LINE_FIELDS(d)
+        if not (type(article_id) is str and type(source) is str and type(index) is int
+                and type(text) is str and type(length) is int and type(speaker) is str
+                and type(org_text) is str):
+            raise ValueError(
+                _type_error((article_id, source, index, text, length, speaker, org_text))
+            )
+        if not 0 < length <= sys.maxsize:
+            _check_length(length)
+        key = (gender_raw, gender, *detectors)
+        tags = self._tags.get(key)
+        if tags is None:
+            tags = self._tags[key] = self._new_tags(gender_raw, gender, detectors)
+        raw_link, link = d.get("org_link"), None
+        if raw_link is not None:
+            # 1, 1.0 and True are equal keys; keep each number's type so a
+            # shared link writes back exactly as every line that uses it was read
+            world, health = raw_link.get("world_rank"), raw_link.get("public_health_rank")
+            score = raw_link["score"]
+            key = (org_text, raw_link["name"], raw_link["org_type"], world, health, score,
+                   type(world), type(health), type(score))
+            link = self._links.get(key)
+            if link is None:
+                link = self._links[key] = self._new_link(key)
+        return (article_id, source, index, text, length, speaker, tags[0], org_text,
+                link, tags[1])
+
+    def _new_tags(self, raw: Any, merged: Any, detectors: Iterable) -> tuple:
+        label = self._labels.get((raw, merged))
+        if label is None:
+            label = self._labels[raw, merged] = GenderLabel(
+                raw=RawGender(raw), merged=MergedGender(merged)
+            )
+        tags = frozenset(map(Detector, detectors))
+        if not tags:
+            raise ValueError("mention needs at least one detector tag")
+        return label, self._detector_sets.setdefault(tags, tags)
+
+    def _new_link(self, key: tuple) -> OrgLink:
+        org_text, name, org_type, world, health, score, world_t, health_t, _ = key
+        rkey = (name, org_type, world, health, world_t, health_t)
+        record = self._records.get(rkey)
+        if record is None:
+            record = self._records[rkey] = OrgRecord(name, OrgType(org_type), world, health)
+        return OrgLink(mention_text=org_text, record=record, score=score)
 
 
 @dataclass(frozen=True)
@@ -349,35 +403,86 @@ def write_mentions_jsonl(mentions: Sequence[ExpertMention], path: "str | Path") 
     return p
 
 
-def read_mentions_jsonl(
-    path: "str | Path", sources: "SourceConfig | None" = None
-) -> Iterator[ExpertMention]:
-    """Mentions of a ``write_mentions_jsonl`` file, one at a time, in file order.
+#: The C scanner ``json.loads`` runs, called once per mentions line.
+_scan_once = json.JSONDecoder().scan_once
 
-    Equal org records, gender labels and detector sets are built once per
-    pass and shared.  A malformed line, or with ``sources`` a mention whose
-    outlet it does not configure, raises a ValueError that names the file
-    and the line.
-    """
-    shared: dict = {}
+#: JSON's whitespace, the only characters allowed after a line's value.
+_JSON_SPACE = " \t\n\r"
+
+
+def _read_rows(path: "str | Path", sources: "SourceConfig | None") -> Iterator[tuple]:
+    """The rows of a mentions file, one per non-blank line, in file order."""
+    row = _RowDecoder().row
+    outlets = None if sources is None else sources.outlets
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                mention = _mention_from_dict(json.loads(line), shared)
+                try:
+                    d, end = _scan_once(line, 0)
+                except StopIteration:
+                    d = json.loads(line)  # leading whitespace, or json names the error
+                else:
+                    if line[end:].strip(_JSON_SPACE):
+                        json.loads(line)  # raises: extra data after the value
+                r = row(d)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: mention lacks {exc}") from None
             except (
                 AttributeError, TypeError, ValueError, OverflowError, RecursionError
             ) as exc:
-                # OverflowError: a length of 1e400 reads as inf, which int() rejects
                 raise ValueError(f"{path}:{lineno}: malformed mention: {exc}") from None
-            if sources is not None and mention.source not in sources:
+            if outlets is not None and r[1] not in outlets:
                 raise ValueError(
-                    f"{path}:{lineno}: source {mention.source!r} is not in the outlet config"
+                    f"{path}:{lineno}: source {r[1]!r} is not in the outlet config"
                 )
-            yield mention
+            yield r
+
+
+class MentionReader:
+    """The mentions of a ``write_mentions_jsonl`` file, read lazily, once.
+
+    Iterating yields one ``ExpertMention`` per line, in file order.
+    ``rows`` is the same pass as field tuples in ``ExpertMention`` field
+    order, which ``build_report`` folds without building a mention per line.
+    """
+
+    def __init__(self, path: "str | Path", sources: "SourceConfig | None" = None) -> None:
+        self.rows = _read_rows(path, sources)
+
+    def __iter__(self) -> "MentionReader":
+        return self
+
+    def __next__(self) -> ExpertMention:
+        return ExpertMention(*next(self.rows))
+
+
+def read_mentions_jsonl(
+    path: "str | Path", sources: "SourceConfig | None" = None
+) -> MentionReader:
+    """Mentions of a ``write_mentions_jsonl`` file, one at a time, in file order.
+
+    Each non-blank line holds one JSON object with the keys of
+    ``ExpertMention.to_dict``: ``article_id``, ``source``, ``sentence_text``,
+    ``speaker_text`` and ``org_text`` are strings; ``sentence_index`` and
+    ``sentence_char_length`` are integers (not booleans), the length
+    positive; ``gender_raw``/``gender`` are a consistent label, ``detectors``
+    a non-empty list of detector names and ``org_link`` absent, null or a
+    gazetteer link.  Those per-line fields are checked on every line; the link, label
+    and detector set, which lines repeat, are checked once per distinct
+    value, and equal ones are shared.  A malformed line, or with ``sources``
+    a mention whose outlet it does not configure, raises a ValueError that
+    names the file and the line.
+    """
+    return MentionReader(path, sources)
+
+
+def _rows(mentions: Iterable[ExpertMention]) -> Iterator[tuple]:
+    """The mentions as rows: straight from the decoder for a ``MentionReader``."""
+    if isinstance(mentions, MentionReader):
+        return mentions.rows
+    return map(_ROW, mentions)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +603,8 @@ _KEY = attrgetter("key")
 class _Aggregate:
     """Everything the report reads, folded from the mentions in one pass.
 
+    The fold reads each mention as a row (see ``_rows``), so a
+    ``MentionReader`` is folded without building a mention per line.
     ``table`` counts mentions per (source, GenderLabel, OrgRecord or None,
     detector set) and ``lengths`` their sentence lengths per merged gender;
     ``sentences`` maps (article_id, sentence_index) to its co-mention mask;
@@ -509,20 +616,24 @@ class _Aggregate:
         self.lengths = {g: Counter() for g in MergedGender}
         self.sentences: defaultdict = defaultdict(int)
         self.speakers: defaultdict = defaultdict(dict)
-        for pos, m in enumerate(mentions):
-            merged = m.gender.merged
-            record = None if m.org_link is None else m.org_link.record
-            self.table[m.source, m.gender, record, m.detectors] += 1
-            self.lengths[merged][m.sentence_char_length] += 1
-            self.sentences[m.article_id, m.sentence_index] |= _GENDER_BIT[merged]
-            key, by_gender = mention_sort_key(m), self.speakers[m.speaker_text]
+        table, lengths, sentences, speakers = (
+            self.table, self.lengths, self.sentences, self.speakers
+        )
+        for pos, (article_id, source, index, _, length, speaker, label, org_text, link,
+                  detectors) in enumerate(_rows(mentions)):
+            merged = label.merged
+            table[source, label, None if link is None else link.record, detectors] += 1
+            lengths[merged][length] += 1
+            sentences[article_id, index] |= _GENDER_BIT[merged]
+            # mention_sort_key of the row
+            key, by_gender = (article_id, index, speaker, org_text), speakers[speaker]
             seen = by_gender.get(merged)
             if seen is None:
-                by_gender[merged] = _Earliest(1, (key, pos), m.gender)
+                by_gender[merged] = _Earliest(1, (key, pos), label)
             else:
                 seen.count += 1
                 if key < seen.key[0]:  # equal keys keep the first in file order
-                    seen.key, seen.label = (key, pos), m.gender
+                    seen.key, seen.label = (key, pos), label
 
     def count(self, project: Callable[..., Any]) -> Counter:
         """Mentions per ``project(source, label, record, detectors)``; rows

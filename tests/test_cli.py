@@ -263,14 +263,30 @@ def _with_length(line: str, raw: str) -> str:
     return re.sub(r'"sentence_char_length": \d+', f'"sentence_char_length": {raw}', line)
 
 
+def _with_field(key: str, value):
+    return lambda line: json.dumps({**json.loads(line), key: value}, sort_keys=True)
+
+
+# a list would fail as a dict key in the fold, and an int article id in its
+# sort; a float or bool index and a numeric string length would pass int()
+_MISTYPED = [
+    ("speaker_text", ["x"]), ("article_id", ["x"]), ("source", ["x"]), ("article_id", 5),
+    ("sentence_index", 1.7), ("sentence_index", True), ("sentence_char_length", "12"),
+    ("sentence_char_length", False), ("sentence_text", None), ("org_text", 3),
+]
+
+
 @pytest.mark.parametrize(
     "lineno, edit",
     [
         (2, lambda line: DEEPLY_NESTED),
         (1, lambda line: _with_length(line, "1e400")),
         (1, lambda line: _with_length(line, "9" * 401)),
+        (2, lambda line: line + " {}"),
+        *[(3, _with_field(key, value)) for key, value in _MISTYPED],
     ],
-    ids=["nested", "length-1e400", "length-401-digits"],
+    ids=["nested", "length-1e400", "length-401-digits", "extra-data",
+         *[f"{key}-{json.dumps(value)}" for key, value in _MISTYPED]],
 )
 def test_deeply_nested_mentions_line_exits_cleanly(tmp_path, caplog, lineno, edit):
     ext = tmp_path / "ext"

@@ -98,20 +98,28 @@ def test_parse_bad_timestamp_skipped(tmp_path):
 
 
 def test_parse_non_string_title_or_body_skipped(tmp_path, caplog):
-    # str() would audit a null body as the sentence "None"
+    # str() would audit a null body as the sentence "None", and read a null
+    # id as the id "None", so that a later real "None" was a duplicate
     f = tmp_path / "c.jsonl"
     bad = [dict(GOOD, id="n", body=None), dict(GOOD, id="k", body=3),
-           dict(GOOD, id="l", title=["t"])]
-    _write_jsonl(f, bad + [dict(GOOD, id="a2", title="", body="")])
+           dict(GOOD, id="l", title=["t"]), dict(GOOD, id=None), dict(GOOD, id=7),
+           dict(GOOD, id="s", source=None), dict(GOOD, id=["a1"], source=1)]
+    good = [dict(GOOD, id="a2", title="", body=""), dict(GOOD, id="None", source="None")]
+    _write_jsonl(f, bad + good)
     stats = IngestStats()
     with caplog.at_level("WARNING", logger="newsaudit.corpus"):
         arts = list(parse_article_stream(f, stats))
-    assert [a.id for a in arts] == ["a2"]
-    assert stats.skipped_malformed == 3 and stats.articles == 1
+    assert [(a.id, a.source) for a in arts] == [("a2", "nyt"), ("None", "None")]
+    assert stats.skipped_malformed == 7 and stats.articles == 2
+    assert stats.skipped_duplicate_id == 0
     assert [r.getMessage() for r in caplog.records] == [
         f"{f}:1: skipping record whose body is not a string",
         f"{f}:2: skipping record whose body is not a string",
         f"{f}:3: skipping record whose title is not a string",
+        f"{f}:4: skipping record whose id is not a string",
+        f"{f}:5: skipping record whose id is not a string",
+        f"{f}:6: skipping record whose source is not a string",
+        f"{f}:7: skipping record whose id and source are not strings",
     ]
 
 

@@ -448,6 +448,15 @@ def test_read_mentions_keeps_distinct_records_apart(report, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_read_mentions_allows_json_whitespace_around_a_line(report, tmp_path):
+    # as json.loads does; the blank line is skipped
+    path = write_mentions_jsonl(report.mentions, tmp_path / "m.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("".join(f" \t{line} \r\n\n" for line in lines), encoding="utf-8")
+    assert list(read_mentions_jsonl(padded)) == list(report.mentions)
+
+
 def test_mention_to_dict_round_trip(report):
     for m in report.mentions:
         assert ExpertMention.from_dict(m.to_dict()) == m

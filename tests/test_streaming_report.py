@@ -3,8 +3,10 @@
 ``build_report`` reads its mentions once, in any order, and builds every
 table from counts.  These tests hold its distinct-name dedup to the
 list-based ``resolve_unique_experts`` (the reference), its artifacts to
-those of the same mentions in another order, and its memory to the
-distinct sentences and speakers rather than the mention count.
+those of the same mentions in another order, the rows ``stats`` folds
+straight from the file to the mentions built one by one in memory, and
+its memory to the distinct sentences and speakers rather than the
+mention count.
 """
 
 import csv
@@ -13,13 +15,14 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from newsaudit.cli import EXIT_OK, main
 from newsaudit.corpus import load_source_config
-from newsaudit.entities import GenderLabel, RawGender, resolve_unique_experts
+from newsaudit.entities import GenderLabel, MergedGender, RawGender, resolve_unique_experts
 from newsaudit.extract import Detector
+from newsaudit.orglink import OrgLink, OrgRecord, OrgType
 from newsaudit.report import (
     AuditConfig,
     ExpertMention,
@@ -143,6 +146,100 @@ def test_flipped_labels_move_the_majority_genders(fixture_lines, tmp_path):
     ]
     first, majority = (r["gender_composition"]["unique_experts"]["counts"] for r in reports)
     assert first != majority
+
+
+# ---------------------------------------------------------------------------
+# folding decoded rows equals folding mentions built one by one
+
+
+def _reference_mention(d):
+    """A mention built field by field from a decoded line, nothing shared."""
+    link = None
+    if d["org_link"] is not None:
+        raw = d["org_link"]
+        record = OrgRecord(raw["name"], OrgType(raw["org_type"]), raw.get("world_rank"),
+                           raw.get("public_health_rank"))
+        link = OrgLink(mention_text=d["org_text"], record=record, score=raw["score"])
+    return ExpertMention(
+        article_id=d["article_id"], source=d["source"], sentence_index=d["sentence_index"],
+        sentence_text=d["sentence_text"], sentence_char_length=d["sentence_char_length"],
+        speaker_text=d["speaker_text"],
+        gender=GenderLabel(raw=RawGender(d["gender_raw"]), merged=MergedGender(d["gender"])),
+        org_text=d["org_text"], org_link=link,
+        detectors=frozenset(Detector(v) for v in d["detectors"]),
+    )
+
+
+def _link(name, org_type, world=None, health=None, score=100):
+    return {"name": name, "org_type": org_type, "world_rank": world,
+            "public_health_rank": health, "score": score}
+
+
+# (org_text, org_link): unlinked, and links whose ranks are equal as numbers
+# but int or float, under one name and one org text
+_ORGS = [
+    ("Mystery Lab", None),
+    ("Yale University", None),
+    ("Stanford University", _link("Stanford University", "academic", 3, None)),
+    ("Stanford University", _link("Stanford University", "academic", 3.0, None)),
+    ("Stanford", _link("Stanford University", "academic", 3, 2, score=92)),
+    ("Stanford", _link("Stanford University", "academic", 3, 2.0, score=92)),
+    ("Harvard University", _link("Harvard University", "academic", 6, 1)),
+    ("CDC", _link("Centers for Disease Control and Prevention", "federal")),
+    ("Brookings", _link("Brookings Institution", "think_tank", score=95)),
+]
+_DETECTOR_SETS = [["DirectPattern"], ["AccordingTo"], ["ClausalComplement", "DirectPattern"],
+                  sorted(d.value for d in Detector)]
+
+
+def _line(article, index, source, speaker, raw, org, detectors, length):
+    org_text, link = org
+    label = GenderLabel.from_raw(raw)
+    return json.dumps({
+        "article_id": article, "source": source, "sentence_index": index,
+        "sentence_text": f"{speaker} of {org_text} said so.", "sentence_char_length": length,
+        "speaker_text": speaker, "gender_raw": label.raw.value, "gender": label.merged.value,
+        "org_text": org_text, "org_link": link, "detectors": detectors,
+    }, sort_keys=True) + "\n"
+
+
+# few articles, sentences, speakers and orgs, so sort keys repeat
+_line_st = st.builds(
+    _line,
+    st.sampled_from(["a", "b", "c"]),
+    st.integers(0, 2),
+    st.sampled_from(["nyt", "fox", "breit"]),
+    st.sampled_from(_NAMES),
+    st.sampled_from(list(RawGender)),
+    st.sampled_from(_ORGS),
+    st.sampled_from(_DETECTOR_SETS),
+    st.integers(1, 300),
+)
+
+
+@pytest.mark.parametrize("gender_mode", ["first", "majority"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_stats_fold_equals_report_of_mentions_in_memory(tmp_path_factory, gender_mode, data):
+    lines = data.draw(st.lists(_line_st, min_size=1, max_size=30))
+    lines = data.draw(st.permutations(lines))
+    path = tmp_path_factory.mktemp("fold") / "m.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    code = main(["stats", "--mentions", str(path), "--sources", str(SOURCES),
+                 "--out", str(path.parent), "--formats", "json", "--bootstrap", "20",
+                 "--gender-mode", gender_mode])
+    assert code == EXIT_OK
+    mentions = [ExpertMention.from_dict(json.loads(line)) for line in lines]
+    assert mentions == [_reference_mention(json.loads(line)) for line in lines]
+    # the reader shares equal values; numbers keep their types, so each
+    # mention writes back as it was read
+    shared = list(read_mentions_jsonl(path))
+    assert shared == mentions
+    assert [json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in shared] == lines
+    config = AuditConfig(bootstrap_iterations=20, gender_mode=gender_mode)
+    want = build_report(mentions, load_source_config(SOURCES), config)
+    assert (path.parent / "report.json").read_bytes() == want.to_json().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
