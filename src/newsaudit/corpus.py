@@ -139,9 +139,8 @@ class IngestStats:
                    "skipped_missing_fields", "skipped_duplicate_id")
 
 
+#: Required fields, all strings: str() would read a null id as "None".
 _REQUIRED_FIELDS = ("id", "source", "published_at", "title", "body")
-#: Required fields that must be strings: str() would read a null id as "None".
-_TEXT_FIELDS = ("id", "source", "title", "body")
 
 
 def _parse_timestamp(value: str) -> datetime:
@@ -154,11 +153,12 @@ def parse_article_stream(
 ) -> Iterator[Article]:
     """Yield Articles from a JSONL file, lazily.
 
-    Malformed lines (an id, source, title or body that is not a string
-    among them), records missing required fields, and records whose id
-    was already seen are skipped with a warning; pass an IngestStats to
-    observe the counts.  An unreadable file raises at once.  Curly
-    double quotes in title and body are normalized to straight quotes.
+    Malformed lines (an id, source, published_at, title or body that is
+    not a string among them), records missing required fields, and
+    records whose id was already seen are skipped with a warning; pass an
+    IngestStats to observe the counts.  An unreadable file raises at once.
+    Curly double quotes in title and body are normalized to straight
+    quotes.
     """
     p = Path(path)
     if not p.exists():
@@ -188,7 +188,7 @@ def parse_article_stream(
                 log.warning("%s:%d: skipping record missing %s", p, lineno, missing)
                 stats.skipped_missing_fields += 1
                 continue
-            not_text = [f for f in _TEXT_FIELDS if not isinstance(record[f], str)]
+            not_text = [f for f in _REQUIRED_FIELDS if not isinstance(record[f], str)]
             if not_text:
                 log.warning("%s:%d: skipping record whose %s %s", p, lineno,
                             " and ".join(not_text),
@@ -203,7 +203,7 @@ def parse_article_stream(
                     title=normalize_quotes(record["title"]),
                     body=normalize_quotes(record["body"]),
                 )
-            except (TypeError, ValueError, AttributeError) as exc:
+            except ValueError as exc:  # a published_at that is not ISO 8601
                 log.warning("%s:%d: skipping unparsable record (%s)", p, lineno, exc)
                 stats.skipped_malformed += 1
                 continue

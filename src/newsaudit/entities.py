@@ -297,6 +297,7 @@ def find_org_mentions(
     toks: Sequence[_Token],
     gazetteer_names: Sequence[str],
     exclude_spans: Sequence[tuple[int, int]] = (),
+    outlet_names: Sequence[str] = (),
 ) -> list[OrgMention]:
     """Capitalized runs that look like organization names.
 
@@ -308,12 +309,16 @@ def find_org_mentions(
     name token that doubles as a first name ("University of Virginia")
     must not punch a hole in the organization name.  A trimmed run
     qualifies if it contains an institutional cue token (plural "s"
-    tolerated) or fuzzy-matches one of ``gazetteer_names`` at the shared
-    threshold.  Mentions of fewer than three characters are dropped.
-    ``toks`` is ``_tokens`` of the sentence text.
+    tolerated) or fuzzy-matches one of ``gazetteer_names`` or of
+    ``outlet_names`` (the publishing outlet's own names) at the shared
+    threshold.  The two lists are indexed apart, so the gazetteer index
+    is built once however many outlets share it.  Mentions of fewer than
+    three characters are dropped.  ``toks`` is ``_tokens`` of the
+    sentence text.
     """
     text = getattr(sentence, "text", sentence)
     names_t = tuple(gazetteer_names)
+    outlet_t = tuple(outlet_names)
     mentions: list[OrgMention] = []
     run: list[_Token] = []
 
@@ -321,34 +326,24 @@ def find_org_mentions(
         return any(tok.start < hi and lo < tok.end for lo, hi in exclude_spans)
 
     def flush() -> None:
-        nonlocal run
-        items = list(run)
-        run = []
-        while True:
-            before = len(items)
-            while items and _covered(items[0]):
-                items.pop(0)
-            while items and items[0].text.casefold() in ORG_CONNECTORS:
-                items.pop(0)
-            if len(items) == before:
-                break
-        while items and items[-1].text.casefold() in ORG_CONNECTORS:
-            items.pop()
-        if not items:
+        lo, hi = 0, len(run)
+        while lo < hi and (_covered(run[lo]) or run[lo].text.casefold() in ORG_CONNECTORS):
+            lo += 1
+        while hi > lo and run[hi - 1].text.casefold() in ORG_CONNECTORS:
+            hi -= 1
+        if lo == hi:  # a run holds capitalized tokens and connectors only
             return
-        if not (_is_cap(items[0].text) and _is_cap(items[-1].text)):
-            return
-        mention_text = text[items[0].start:items[-1].end]
+        start, end = run[lo].start, run[hi - 1].end
+        mention_text = text[start:end]
         if len(mention_text.strip()) < 3:
             return
         if not (
-            any(t.text in _CUES_WITH_PLURALS for t in items)
+            any(run[k].text in _CUES_WITH_PLURALS for k in range(lo, hi))
             or _matches_any_name(mention_text, names_t)
+            or (outlet_t and _matches_any_name(mention_text, outlet_t))
         ):
             return
-        mentions.append(
-            OrgMention(text=mention_text, span=(items[0].start, items[-1].end))
-        )
+        mentions.append(OrgMention(text=mention_text, span=(start, end)))
 
     for tok in toks:
         joins = _is_cap(tok.text) or tok.text in ORG_CONNECTORS
@@ -357,6 +352,7 @@ def find_org_mentions(
                 run.append(tok)
                 continue
             flush()
+            run = []
         if _is_cap(tok.text):
             run.append(tok)
     flush()

@@ -26,7 +26,7 @@ from .entities import (
     _is_cap,
     _matches_any_name,
 )
-from .orglink import MATCH_THRESHOLD, _text_lines
+from .orglink import _text_lines
 
 
 class Detector(str, Enum):
@@ -352,7 +352,6 @@ def union_candidates(
     orgs: Sequence[OrgMention],
     outlet_names: Sequence[str] = (),
     suppress_outlet_names: bool = True,
-    threshold: int = MATCH_THRESHOLD,
 ) -> list[QuoteCandidate]:
     """Merge overlapping detections and resolve entities.
 
@@ -383,7 +382,7 @@ def union_candidates(
     orgs = sorted(orgs, key=lambda o: o.span)
     if suppress_outlet_names and outlet_names:
         names_t = tuple(outlet_names)
-        orgs = [o for o in orgs if not _matches_any_name(o.text, names_t, threshold)]
+        orgs = [o for o in orgs if not _matches_any_name(o.text, names_t)]
     out: list[QuoteCandidate] = []
     for group in groups:
         primary = min(

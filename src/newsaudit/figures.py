@@ -9,9 +9,9 @@ total over empty reports.
 
 from __future__ import annotations
 
+import html
 import math
 from typing import Any, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 MAN_COLOR = "#4878a8"
 WOMAN_COLOR = "#d65f5f"
@@ -43,7 +43,7 @@ def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "start") -> 
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
         f'font-family="sans-serif" text-anchor="{anchor}" '
-        f'fill="{AXIS_COLOR}">{escape(str(s))}</text>'
+        f'fill="{AXIS_COLOR}">{html.escape(str(s), quote=False)}</text>'
     )
 
 

@@ -356,8 +356,12 @@ _MEMO_SIZE = 65536
 
 def _link_index(gazetteers: Sequence[OrgRecord]) -> _LinkIndex:
     records = gazetteers if type(gazetteers) is tuple else tuple(gazetteers)
-    for entry in _LINK_INDEXES:
-        if entry.records is records or entry.records == records:
+    for k, entry in enumerate(_LINK_INDEXES):
+        if entry.records is records:
+            return entry
+        if entry.records == records:
+            # hold an equal tuple loaded again, so its later calls match by identity
+            _LINK_INDEXES[k] = entry = entry._replace(records=records)
             return entry
     entry = _LinkIndex(records, NameIndex(r.name for r in records), {})
     _LINK_INDEXES.insert(0, entry)
@@ -445,6 +449,17 @@ def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _first_seen(name: str, seen: set, kind: str) -> bool:
+    """Whether ``name`` is new to ``seen`` by casefold (then it is added);
+    a repeat is logged as a duplicate ``kind``."""
+    key = name.casefold()
+    if key in seen:
+        log.warning("duplicate %s %r ignored", kind, name)
+        return False
+    seen.add(key)
+    return True
+
+
 def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
     """Load all gazetteer files from a directory into OrgRecords.
 
@@ -465,27 +480,21 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
         if not (d / required).exists():
             raise FileNotFoundError(f"missing gazetteer file: {d / required}")
 
-    academics: list[OrgRecord] = []
-    seen: set[str] = set()
-    for rank, name in _ranked_rows(d / "universities.csv"):
-        key = name.casefold()
-        if key in seen:
-            log.warning("duplicate university %r ignored", name)
-            continue
-        seen.add(key)
-        academics.append(OrgRecord(name, OrgType.ACADEMIC, world_rank=rank))
+    academic_names: set[str] = set()
+    academics = [
+        OrgRecord(name, OrgType.ACADEMIC, world_rank=rank)
+        for rank, name in _ranked_rows(d / "universities.csv")
+        if _first_seen(name, academic_names, "university")
+    ]
 
     index = NameIndex(rec.name for rec in academics)
     for ph_rank, name in _ranked_rows(d / "public_health.csv"):
         match = index.best_match(name, MATCH_THRESHOLD, lambda i: academics[i].name)
         if match is None:
             log.info("public-health school %r matches no ranked university; kept standalone", name)
-            if name.casefold() in seen:
-                log.warning("duplicate public-health school %r ignored", name)
-                continue
-            seen.add(name.casefold())
-            academics.append(OrgRecord(name, OrgType.ACADEMIC, public_health_rank=ph_rank))
-            index.add(name)
+            if _first_seen(name, academic_names, "public-health school"):
+                academics.append(OrgRecord(name, OrgType.ACADEMIC, public_health_rank=ph_rank))
+                index.add(name)
             continue
         best_i = match[0]
         if academics[best_i].public_health_rank is not None:
@@ -494,24 +503,13 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
         else:
             academics[best_i] = replace(academics[best_i], public_health_rank=ph_rank)
 
-    records = list(academics)
-    seen = set()
-    for _, name in _text_lines(d / "federal.txt"):
-        if name.casefold() in seen:
-            log.warning("duplicate federal agency %r ignored", name)
-            continue
-        seen.add(name.casefold())
-        records.append(OrgRecord(name, OrgType.FEDERAL))
-
-    seen = set()
-    for row in _data_rows(d / "thinktanks.csv"):
-        name = row[0].strip()
-        if not name:
-            continue
-        if name.casefold() in seen:
-            log.warning("duplicate think tank %r ignored", name)
-            continue
-        seen.add(name.casefold())
-        records.append(OrgRecord(name, OrgType.THINK_TANK))
-
-    return records
+    federal_names: set[str] = set()
+    think_tank_names: set[str] = set()
+    return academics + [
+        OrgRecord(name, OrgType.FEDERAL) for _, name in _text_lines(d / "federal.txt")
+        if _first_seen(name, federal_names, "federal agency")
+    ] + [
+        OrgRecord(name, OrgType.THINK_TANK)
+        for name in (row[0].strip() for row in _data_rows(d / "thinktanks.csv"))
+        if name and _first_seen(name, think_tank_names, "think tank")
+    ]

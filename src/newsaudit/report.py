@@ -55,7 +55,6 @@ from .extract import (
     union_candidates,
 )
 from .orglink import (
-    MATCH_THRESHOLD,
     OrgLink,
     OrgRecord,
     OrgType,
@@ -66,6 +65,8 @@ from .orglink import (
 
 log = logging.getLogger(__name__)
 
+#: Confidence level of every bootstrap interval in the report.
+CONFIDENCE = 0.95
 #: Cut points for the cumulative top-n attention curves.
 TOP_CUT_POINTS = tuple(range(5, 101, 5))
 
@@ -91,8 +92,6 @@ class ExpertMention:
 
     def __post_init__(self) -> None:
         _check_length(self.sentence_char_length)
-        if self.org_link is not None and self.org_link.score < MATCH_THRESHOLD:
-            raise ValueError("org_link score below match threshold")
         if not self.detectors:
             raise ValueError("mention needs at least one detector tag")
 
@@ -234,15 +233,17 @@ class _RowDecoder:
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Knobs that affect the numbers in the report."""
+    """Knobs that affect the numbers in the report.
+
+    The confidence level (``CONFIDENCE``) and the top-n cut points
+    (``TOP_CUT_POINTS``) are fixed; ``to_dict`` still records both.
+    """
 
     seed: int = 0
     bootstrap_iterations: int = 1000
-    confidence: float = 0.95
     bin_width: int = 10
     outlet_suppression: bool = True
     gender_mode: str = "first"
-    top_cut_points: tuple = TOP_CUT_POINTS
 
     def __post_init__(self) -> None:
         if self.bootstrap_iterations < 1:
@@ -253,7 +254,8 @@ class AuditConfig:
             raise ValueError("gender_mode must be 'first' or 'majority'")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "top_cut_points": list(self.top_cut_points)}
+        return {**asdict(self), "confidence": CONFIDENCE,
+                "top_cut_points": list(TOP_CUT_POINTS)}
 
 
 @dataclass(frozen=True)
@@ -331,7 +333,6 @@ def extract_mentions(
     """
     lexicon = resources.lexicon
     gaz_names = tuple(r.name for r in resources.gazetteers)
-    detect_names: dict[str, tuple] = {}
     mentions: list[ExpertMention] = []
     counts = IngestStats()
     for article in parse_article_stream(corpus_path, stats=counts):
@@ -343,8 +344,6 @@ def extract_mentions(
             counts.skipped_unconfigured_sources[article.source] += 1
             continue
         counts.articles_by_outlet[outlet.key] += 1
-        if outlet.key not in detect_names:
-            detect_names[outlet.key] = gaz_names + tuple(outlet.self_org_names)
         for sentence in segment_sentences(article.body, article_ref=article.id):
             counts.sentences += 1
             text = sentence.text
@@ -363,7 +362,8 @@ def extract_mentions(
             )
             spans = person_exclusion_spans(sentence, toks, persons, resources.honorifics)
             orgs = find_org_mentions(
-                sentence, toks, detect_names[outlet.key], exclude_spans=spans
+                sentence, toks, gaz_names, exclude_spans=spans,
+                outlet_names=outlet.self_org_names,
             )
             final = union_candidates(
                 cands,
@@ -502,7 +502,7 @@ def _bs_config(label: str, config: AuditConfig) -> stats.BootstrapConfig:
     return stats.BootstrapConfig(
         iterations=config.bootstrap_iterations,
         seed=zlib.crc32(label.encode("utf-8")) ^ (config.seed & 0xFFFFFFFF),
-        confidence=config.confidence,
+        confidence=CONFIDENCE,
     )
 
 
@@ -866,10 +866,10 @@ def _rank_attention_section(agg, sources, resources, config) -> dict:
         for g in (MergedGender.MAN, MergedGender.WOMAN)
     }
     # cumulative top-n share curves per gender over world rank
-    cumulative: dict[str, Any] = {"cut_points": list(config.top_cut_points)}
+    cumulative: dict[str, Any] = {"cut_points": list(TOP_CUT_POINTS)}
     for gender, counts in genders.items():
         shares, reason = _try(
-            lambda: stats.cumulative_topn(ranked(counts), config.top_cut_points)
+            lambda: stats.cumulative_topn(ranked(counts), TOP_CUT_POINTS)
         )
         cumulative[gender] = {"shares": shares, "reason": reason}
     # per-bin left/right shares of academic attention over world rank

@@ -24,6 +24,8 @@ GroupedSample = Sequence[Sequence[float]]
 
 _EPS = 1e-15
 _MAX_ITER = 500
+#: Where a continued-fraction term would vanish, modified Lentz uses this.
+_TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -43,25 +45,33 @@ def _gamma_p_series(a: float, x: float) -> float:
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
+
+def _lentz_step(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    """One modified-Lentz step of a continued fraction b0 + a1/(b1 + a2/(b2 + ...)).
+
+    Takes the term pair (an, bn) and the running C and 1/D; returns the
+    new C and 1/D and the factor the convergent is multiplied by.
+    """
+    d = an * d + bn
+    if abs(d) < _TINY:
+        d = _TINY
+    c = bn + an / c
+    if abs(c) < _TINY:
+        c = _TINY
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _gamma_q_cf(a: float, x: float) -> float:
     # Upper regularized incomplete gamma by continued fraction (modified
     # Lentz), for x >= a + 1.
-    tiny = 1e-300
     b = x + 1.0 - a
-    c = 1.0 / tiny
+    c = 1.0 / _TINY
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
@@ -72,9 +82,7 @@ def chi2_sf(x: float, df: float) -> float:
     """Survival function P(X > x) of the chi-square distribution."""
     if df <= 0:
         raise ValueError("df must be positive")
-    if x < 0:
-        return 1.0
-    if x == 0:
+    if x <= 0:
         return 1.0
     a, half = df / 2.0, x / 2.0
     if half < a + 1.0:
@@ -83,34 +91,18 @@ def chi2_sf(x: float, df: float) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
+    # Continued fraction of the incomplete beta (modified Lentz): an even
+    # and an odd term per iteration.
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
+    c, d = 1.0, 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = h = 1.0 / d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
@@ -132,11 +124,16 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
+def _t_two_sided(t: float, df: float) -> float:
+    # P(|T| > |t|) for Student's t with df degrees of freedom
+    return reg_inc_beta(df / 2.0, 0.5, df / (df + t * t))
+
+
 def student_t_sf(t: float, df: float) -> float:
     """Survival function P(T > t) of Student's t distribution."""
     if df <= 0:
         raise ValueError("df must be positive")
-    p_two = reg_inc_beta(df / 2.0, 0.5, df / (df + t * t))
+    p_two = _t_two_sided(t, df)
     return p_two / 2.0 if t >= 0 else 1.0 - p_two / 2.0
 
 
@@ -304,7 +301,7 @@ def welch_t_counts(
     sa, sb = va / na, vb / nb
     t = (ma - mb) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1))
-    p = reg_inc_beta(df / 2.0, 0.5, df / (df + t * t)) if t != 0.0 else 1.0
+    p = _t_two_sided(t, df) if t != 0.0 else 1.0
     return WelchResult(t=t, df=df, p_value=p)
 
 

@@ -302,7 +302,7 @@ def test_criterion_6_planted_bias_end_to_end(tmp_path):
 
 
 def test_criterion_7_determinism(tmp_path):
-    with criterion(7, "same-seed audit runs byte-identical; bootstrap bit-reproducible"):
+    with criterion(7, "same-seed audit runs byte-identical; both bootstraps bit-reproducible"):
         payloads = []
         for name in ("one", "two"):
             out = tmp_path / name
@@ -319,24 +319,31 @@ def test_criterion_7_determinism(tmp_path):
         first = stats.bootstrap(values, lambda a: float(a.mean()), cfg)
         second = stats.bootstrap(values, lambda a: float(a.mean()), cfg)
         assert first == second
+        # the draw behind every report interval
+        first = stats.bootstrap_counts(13, 40, lambda c: c / 40, cfg)
+        second = stats.bootstrap_counts(13, 40, lambda c: c / 40, cfg)
+        assert first == second
 
 
 def test_criterion_8_bootstrap_calibration():
     rng = np.random.default_rng(MASTER_SEED)
-    with criterion(8, "95% CIs cover a true proportion in 95% +/- 3 points, 200 trials at n=400"):
+    with criterion(8, "95% CIs cover a true proportion in 95% +/- 3 points, 200 trials at n=400"
+                      " (index and count bootstraps)"):
         p_true, n, trials = 0.3, 400, 200
         seeds = rng.integers(0, 2**32 - 1, size=trials)
-        covered = 0
+        covered = covered_counts = 0
         for k in range(trials):
             sample = (rng.random(n) < p_true).astype(float)
-            res = stats.bootstrap(
-                sample,
-                lambda a: float(a.mean()),
-                stats.BootstrapConfig(iterations=1000, seed=int(seeds[k]), confidence=0.95),
-            )
+            cfg = stats.BootstrapConfig(iterations=1000, seed=int(seeds[k]), confidence=0.95)
+            res = stats.bootstrap(sample, lambda a: float(a.mean()), cfg)
             if res.ci_low <= p_true <= res.ci_high:
                 covered += 1
+            # the draw behind every report interval, from the sample's counts
+            res = stats.bootstrap_counts(int(sample.sum()), n, lambda c: c / n, cfg)
+            if res.ci_low <= p_true <= res.ci_high:
+                covered_counts += 1
         assert 0.92 * trials <= covered <= 0.98 * trials
+        assert 0.92 * trials <= covered_counts <= 0.98 * trials
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, artifacts on disk, subcommand parity."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -414,3 +417,27 @@ def test_stats_flags_reach_audit_config():
         seed=3, bootstrap_iterations=7, bin_width=5, gender_mode="majority",
         outlet_suppression=False,
     )
+
+
+def test_cli_import_skips_xml_sax_and_urllib_request():
+    # figures escapes SVG text with html.escape; xml.sax.saxutils (and the
+    # urllib.request it pulls in) cost tens of milliseconds at start-up
+    import newsaudit
+
+    src = str(Path(newsaudit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, newsaudit.cli; "
+             "print(sorted(m for m in ('xml.sax.saxutils', 'urllib.request') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_figure_text_escape_matches_xml_sax():
+    from xml.sax.saxutils import escape
+
+    from newsaudit.figures import _text
+
+    for s in ("a < b & c > d", "\"quoted\" 'single'", "&amp;", "plain", "<&>" * 3, ""):
+        assert _text(0, 0, s).endswith(f">{escape(s)}</text>")

@@ -103,14 +103,15 @@ def test_parse_non_string_title_or_body_skipped(tmp_path, caplog):
     f = tmp_path / "c.jsonl"
     bad = [dict(GOOD, id="n", body=None), dict(GOOD, id="k", body=3),
            dict(GOOD, id="l", title=["t"]), dict(GOOD, id=None), dict(GOOD, id=7),
-           dict(GOOD, id="s", source=None), dict(GOOD, id=["a1"], source=1)]
+           dict(GOOD, id="s", source=None), dict(GOOD, id=["a1"], source=1),
+           dict(GOOD, id="p", published_at=5), dict(GOOD, id="q", published_at=None, title=1)]
     good = [dict(GOOD, id="a2", title="", body=""), dict(GOOD, id="None", source="None")]
     _write_jsonl(f, bad + good)
     stats = IngestStats()
     with caplog.at_level("WARNING", logger="newsaudit.corpus"):
         arts = list(parse_article_stream(f, stats))
     assert [(a.id, a.source) for a in arts] == [("a2", "nyt"), ("None", "None")]
-    assert stats.skipped_malformed == 7 and stats.articles == 2
+    assert stats.skipped_malformed == 9 and stats.articles == 2
     assert stats.skipped_duplicate_id == 0
     assert [r.getMessage() for r in caplog.records] == [
         f"{f}:1: skipping record whose body is not a string",
@@ -120,6 +121,8 @@ def test_parse_non_string_title_or_body_skipped(tmp_path, caplog):
         f"{f}:5: skipping record whose id is not a string",
         f"{f}:6: skipping record whose source is not a string",
         f"{f}:7: skipping record whose id and source are not strings",
+        f"{f}:8: skipping record whose published_at is not a string",
+        f"{f}:9: skipping record whose published_at and title are not strings",
     ]
 
 

@@ -303,6 +303,35 @@ def test_load_gazetteers_duplicate_university_kept_first(tmp_path, caplog):
     assert any("duplicate university" in m for m in caplog.messages)
 
 
+def test_load_gazetteers_keeps_the_first_of_each_duplicate(tmp_path, caplog):
+    # federal agencies and think tanks each have their own name set
+    _write_gazetteers(
+        tmp_path,
+        universities=[(1, "Harvard University"), (2, "HARVARD UNIVERSITY")],
+        public_health=[(3, "Tulane University"), (4, "tulane university")],
+        federal=["Food And Drug Administration", "food and drug administration",
+                 "Brookings Institution"],
+        thinktanks=["Brookings Institution", "", "brookings institution"],
+    )
+    with caplog.at_level(logging.WARNING):
+        records = load_gazetteers(tmp_path)
+    assert [(r.name, r.org_type, r.world_rank, r.public_health_rank) for r in records] == [
+        ("Harvard University", OrgType.ACADEMIC, 1, None),
+        ("Tulane University", OrgType.ACADEMIC, None, 3),
+        ("Food And Drug Administration", OrgType.FEDERAL, None, None),
+        ("Brookings Institution", OrgType.FEDERAL, None, None),
+        ("Brookings Institution", OrgType.THINK_TANK, None, None),
+    ]
+    assert caplog.messages == [
+        "duplicate university 'HARVARD UNIVERSITY' ignored",
+        # the standalone school joined the index, so its repeat matches it
+        "university 'Tulane University' already has a public-health rank;"
+        " 'tulane university' ignored",
+        "duplicate federal agency 'food and drug administration' ignored",
+        "duplicate think tank 'brookings institution' ignored",
+    ]
+
+
 def test_load_gazetteers_missing_file_is_fatal(tmp_path):
     _write_gazetteers(tmp_path, [(1, "Harvard University")], [], ["FDA Agency"], ["Brookings Institution"])
     (tmp_path / "federal.txt").unlink()

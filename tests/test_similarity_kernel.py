@@ -214,6 +214,29 @@ def test_link_index_follows_a_mutated_list():
     assert link is not None and link.record.name == "Yale University"
 
 
+def test_link_index_holds_an_equal_reloaded_gazetteer(monkeypatch):
+    """A gazetteer loaded again is compared in full once, then matched by identity."""
+    monkeypatch.setattr(orglink, "_LINK_INDEXES", [])
+    first = tuple(load_gazetteers(default_gazetteer_dir()))
+    second = tuple(load_gazetteers(default_gazetteer_dir()))
+    assert first == second and first is not second
+    want = link_org("Harvard University", first)
+    assert link_org("Harvard University", second) == want
+    assert len(orglink._LINK_INDEXES) == 1
+    compares = []
+    eq = OrgRecord.__eq__
+
+    def counting_eq(self, other):
+        compares.append(1)
+        return eq(self, other)
+
+    monkeypatch.setattr(OrgRecord, "__eq__", counting_eq)
+    for text in ("Harvard University", "Yale University", "Stanford", "Brookings"):
+        link_org(text, second)
+    assert compares == []
+    assert link_org("Harvard University", second) == want
+
+
 def test_shipped_join_equals_all_pairs():
     """The public-health join scores every row against every academic name."""
     d = default_gazetteer_dir()
