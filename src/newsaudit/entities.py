@@ -286,10 +286,15 @@ def _name_index(names: tuple[str, ...]) -> NameIndex:
 
 
 @lru_cache(maxsize=65536)
+def _index_matches(text: str, index: NameIndex, threshold: int = MATCH_THRESHOLD) -> bool:
+    # keyed on the index, which hashes by identity, not on its names
+    return index.first_match(text, threshold) is not None
+
+
 def _matches_any_name(
     text: str, names: tuple[str, ...], threshold: int = MATCH_THRESHOLD
 ) -> bool:
-    return _name_index(names).first_match(text, threshold) is not None
+    return _index_matches(text, _name_index(names), threshold)
 
 
 def find_org_mentions(
@@ -312,13 +317,14 @@ def find_org_mentions(
     tolerated) or fuzzy-matches one of ``gazetteer_names`` or of
     ``outlet_names`` (the publishing outlet's own names) at the shared
     threshold.  The two lists are indexed apart, so the gazetteer index
-    is built once however many outlets share it.  Mentions of fewer than
-    three characters are dropped.  ``toks`` is ``_tokens`` of the
-    sentence text.
+    is built once however many outlets share it, and each index is looked
+    up once per call.  Mentions of fewer than three characters are
+    dropped.  ``toks`` is ``_tokens`` of the sentence text.
     """
     text = getattr(sentence, "text", sentence)
-    names_t = tuple(gazetteer_names)
+    gazetteer = _name_index(tuple(gazetteer_names))
     outlet_t = tuple(outlet_names)
+    outlet = _name_index(outlet_t) if outlet_t else None
     mentions: list[OrgMention] = []
     run: list[_Token] = []
 
@@ -339,8 +345,8 @@ def find_org_mentions(
             return
         if not (
             any(run[k].text in _CUES_WITH_PLURALS for k in range(lo, hi))
-            or _matches_any_name(mention_text, names_t)
-            or (outlet_t and _matches_any_name(mention_text, outlet_t))
+            or _index_matches(mention_text, gazetteer)
+            or (outlet is not None and _index_matches(mention_text, outlet))
         ):
             return
         mentions.append(OrgMention(text=mention_text, span=(start, end)))

@@ -13,10 +13,11 @@ Python ints; the dynamic-programming :func:`levenshtein` stays as the
 reference it is tested against.  Each name is profiled once (token set,
 sorted-token string, character multiset); :func:`score_at_least` runs the
 distance only when the length and character-multiset bounds cannot
-decide.  :class:`NameIndex` blocks candidates by token and by length with
-no loss (the argument is in its docstring) and serves the first match
-(expert dedup, and as a yes/no, organization detection and outlet
-suppression) and the best match (linking and the public-health join).
+decide.  :class:`NameIndex` blocks candidates by rare-token prefix and by
+length with no loss (the argument is in its docstring) and serves the
+first match (expert dedup, and as a yes/no, organization detection and
+outlet suppression) and the best match (linking and the public-health
+join).
 """
 
 from __future__ import annotations
@@ -188,6 +189,34 @@ def _reaches(distance: int, length: int, threshold: int) -> bool:
     return int(round(100.0 * (1.0 - distance / length))) >= threshold
 
 
+@lru_cache(maxsize=4096)
+def _slack(length: int, threshold: int) -> int:
+    """The largest distance d <= ``length`` for which ``_reaches(d, length,
+    threshold)`` holds, or -1 if none does."""
+    d = max(0, min(length, int(length * (100 - threshold) / 100)))
+    while d >= 0 and not _reaches(d, length, threshold):
+        d -= 1
+    while d < length and _reaches(d + 1, length, threshold):
+        d += 1
+    return d
+
+
+@lru_cache(maxsize=4096)
+def _length_window(n: int, threshold: int) -> tuple[tuple[int, int], ...]:
+    """(length, need) for each sorted-token length whose pair with a name of
+    length ``n`` can reach ``threshold`` > 0, ascending: such a pair needs
+    ``need`` characters of its two character multisets in common."""
+    # Shorter names are within D(n, t) of n; a longer one, of length m,
+    # within D(m, t), which holds on a finite run of m when t > 0.
+    slack = _slack(n, threshold)
+    window = [(length, n - slack) for length in range(max(1, n - slack), n)]
+    length = n
+    while length - n <= (d := _slack(length, threshold)):
+        window.append((length, length - d))
+        length += 1
+    return tuple(window)
+
+
 def _score(pa: _Profile, pb: _Profile, cutoff: int) -> int:
     """Token-set similarity of two profiled names, exact when >= ``cutoff``.
 
@@ -251,20 +280,35 @@ def score_at_least(a: str, b: str, threshold: int) -> bool:
 
 
 class NameIndex:
-    """Names by token and by sorted-token length, for exact blocked lookups.
+    """Names blocked by rare-token prefix and by length, for exact lookups.
 
     Ids are positions in insertion order.  A lookup scores only the
-    candidates that could reach the threshold; the blocking is exact,
-    for this reason.  If the token sets of two names intersect, the pair
-    shares a token posting.  If either set is empty, the subset rule
-    scores the pair 100, so tokenless names are always candidates, and a
-    tokenless query matches every name.  If the sets are disjoint and
-    both non-empty, I is empty, (I, A) and (I, B) score 0, and A and B
-    are the two sorted-token strings, so the score is at most the ratio
-    bound of that pair: only names whose sorted-token length lies within
-    the bound of the query's, and whose character multiset shares enough
-    with the query's, can reach the threshold.  Every candidate is then
-    scored by :func:`_score`, so results equal a scan over all names.
+    candidates that could reach the threshold t.  Write W(S) for the sum
+    of ``len(tok) + 1`` over a token set S, so a name's sorted-token
+    length is W of its tokens minus 1, and D(l, t) for :func:`_slack`,
+    the largest distance that still reaches t over length l.  With a
+    the query and b a name, a pair reaches t by one of the three ratios
+    of :func:`token_set_similarity`, and each is blocked with no loss:
+
+    * (A, B).  The distance is at least the length difference and at
+      least the characters of the longer string not in the other's
+      character multiset, so only names in the length window of the
+      query, sharing enough characters with it, can reach t this way.
+    * (I, A), the query nearly inside b.  With shared tokens the distance
+      is W(t_a - t_b); without, the ratio is 0, below any t > 0.  So b
+      must share a token with every set P of the query's tokens with
+      W(P) > D(la, t); the rarest such prefix of the query's tokens
+      (ordered by posting length) is looked up in the full postings.
+    * (I, B), b nearly inside the query: symmetric, with D(lb, t).  Each
+      name is posted under its own rarest prefix of weight above
+      D(lb, t), and the query looks up all its tokens there.  These
+      prefix postings are built for a threshold on its first lookup and
+      extended by :meth:`add`; any token order would be exact.
+
+    The subset rule scores 100 through (I, A) or (I, B).  Tokenless
+    names are candidates of every query, a tokenless query and any
+    t <= 0 take every name, and every candidate is scored by
+    :func:`_score`, so results equal a scan over all names.
     """
 
     def __init__(self, names: Iterable[str] = ()) -> None:
@@ -273,6 +317,8 @@ class NameIndex:
         self._postings: dict[str, list[int]] = {}
         self._by_length: dict[int, list[int]] = {}
         self._tokenless: list[int] = []
+        # threshold -> token -> ids of the names whose rare prefix holds it
+        self._prefix_postings: dict[int, dict[str, list[int]]] = {}
         for name in names:
             self.add(name)
 
@@ -288,26 +334,45 @@ class NameIndex:
             self._by_length.setdefault(len(p.text), []).append(i)
             for tok in p.tokens:
                 self._postings.setdefault(tok, []).append(i)
+            for threshold, prefixes in self._prefix_postings.items():
+                self._post_prefix(prefixes, i, p, threshold)
         return i
 
+    def _rare_prefix(self, p: _Profile, threshold: int) -> list[str]:
+        """The fewest rarest tokens of ``p`` whose weight exceeds D(len, t)."""
+        postings, slack = self._postings, _slack(len(p.text), threshold)
+        prefix, weight = [], 0
+        for tok in sorted(p.tokens, key=lambda tok: (len(postings.get(tok, ())), tok)):
+            prefix.append(tok)
+            weight += len(tok) + 1
+            if weight > slack:
+                break
+        return prefix
+
+    def _post_prefix(self, prefixes: dict, i: int, p: _Profile, threshold: int) -> None:
+        for tok in self._rare_prefix(p, threshold):
+            prefixes.setdefault(tok, []).append(i)
+
     def _candidates(self, p: _Profile, threshold: int) -> Sequence[int]:
-        if not p.tokens:
+        if not p.tokens or threshold <= 0:
             return range(len(self._profiles))
+        prefixes = self._prefix_postings.get(threshold)
+        if prefixes is None:
+            prefixes = self._prefix_postings[threshold] = {}
+            for i, q in enumerate(self._profiles):
+                if q.tokens:
+                    self._post_prefix(prefixes, i, q, threshold)
         ids = set(self._tokenless)
-        for tok in p.tokens:
-            ids.update(self._postings.get(tok, ()))
-        n, bag, bags = len(p.text), p.bag, self._bags
-        for length, bucket in self._by_length.items():
-            m = max(n, length)
-            d = abs(n - length)
-            if not _reaches(d, m, threshold):
-                continue
-            while d < m and _reaches(d + 1, m, threshold):
-                d += 1
-            # d is now the largest distance that still reaches the
-            # threshold, so a disjoint pair needs m - d characters in common.
-            need = m - d
-            ids.update(i for i in bucket if (bags[i] & bag).bit_count() >= need)
+        postings = self._postings
+        for tok in self._rare_prefix(p, threshold):  # (I, A)
+            ids.update(postings.get(tok, ()))
+        for tok in p.tokens:  # (I, B)
+            ids.update(prefixes.get(tok, ()))
+        bag, bags, by_length = p.bag, self._bags, self._by_length
+        for length, need in _length_window(len(p.text), threshold):  # (A, B)
+            bucket = by_length.get(length)
+            if bucket:
+                ids.update(i for i in bucket if (bags[i] & bag).bit_count() >= need)
         return sorted(ids)
 
     def first_match(self, name: str, threshold: int) -> int | None:
@@ -480,21 +545,21 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
         if not (d / required).exists():
             raise FileNotFoundError(f"missing gazetteer file: {d / required}")
 
-    academic_names: set[str] = set()
+    university_names: set[str] = set()
     academics = [
         OrgRecord(name, OrgType.ACADEMIC, world_rank=rank)
         for rank, name in _ranked_rows(d / "universities.csv")
-        if _first_seen(name, academic_names, "university")
+        if _first_seen(name, university_names, "university")
     ]
 
     index = NameIndex(rec.name for rec in academics)
     for ph_rank, name in _ranked_rows(d / "public_health.csv"):
         match = index.best_match(name, MATCH_THRESHOLD, lambda i: academics[i].name)
         if match is None:
+            # a repeat of this name would match it at 100, so it is never added twice
             log.info("public-health school %r matches no ranked university; kept standalone", name)
-            if _first_seen(name, academic_names, "public-health school"):
-                academics.append(OrgRecord(name, OrgType.ACADEMIC, public_health_rank=ph_rank))
-                index.add(name)
+            academics.append(OrgRecord(name, OrgType.ACADEMIC, public_health_rank=ph_rank))
+            index.add(name)
             continue
         best_i = match[0]
         if academics[best_i].public_health_rank is not None:

@@ -265,8 +265,9 @@ class WelchResult:
 def welch_t(a: Sample, b: Sample) -> WelchResult:
     """Welch's unequal-variance t test, two-sided.
 
-    Degrees of freedom follow Welch-Satterthwaite.  Raises if either
-    sample has fewer than two values or both variances are zero.
+    Degrees of freedom follow Welch-Satterthwaite.  Raises ValueError if
+    either sample has fewer than two values, or if both variances are
+    zero or so small that the df is undefined in floating point.
     """
     return welch_t_counts(
         [(v, 1) for v in _as_floats(a)], [(v, 1) for v in _as_floats(b)]
@@ -299,8 +300,11 @@ def welch_t_counts(
     if va == 0.0 and vb == 0.0:
         raise ValueError("both variances are zero; t undefined")
     sa, sb = va / na, vb / nb
+    den = sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)
+    if den == 0.0:  # the squares underflow, though a variance is not zero
+        raise ValueError("variances too small for the Welch-Satterthwaite df; t undefined")
     t = (ma - mb) / math.sqrt(sa + sb)
-    df = (sa + sb) ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1))
+    df = (sa + sb) ** 2 / den
     p = _t_two_sided(t, df) if t != 0.0 else 1.0
     return WelchResult(t=t, df=df, p_value=p)
 

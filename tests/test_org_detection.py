@@ -189,7 +189,7 @@ def test_gazetteer_is_indexed_once_per_run_across_interleaved_outlets(tmp_path, 
     monkeypatch.setattr(orglink.NameIndex, "__init__", counting_init)
     monkeypatch.setattr(orglink, "_LINK_INDEXES", [])
     entities._name_index.cache_clear()
-    entities._matches_any_name.cache_clear()
+    entities._index_matches.cache_clear()
     mentions, counts = extract_mentions(corpus, sources, resources)
     assert len(counts.articles_by_outlet) == 20 and len(mentions) == 600
     # one index to link, one to detect; every outlet's own index is small

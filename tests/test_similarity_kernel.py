@@ -153,6 +153,78 @@ def test_index_lookups_equal_scans(names, query, threshold):
     assert index.first_match(query, threshold) == (hits[0] if hits else None)
 
 
+# Long and rare tokens make a name's rare-token prefix shorter than its
+# token set, so the prefix blocking prunes; queries also draw tokens no
+# indexed name holds.
+_INDEXED_TOKENS = ["university", "of", "institute", "public", "health", "school",
+                   "massachusetts", "technology", "epidemiology", "johns", "hopkins",
+                   "hopkin", "tulane", "tulan", "x", "li", "lee"]
+_UNSEEN_TOKENS = ["medicine", "medicin", "zyxwvutsrqponm", "qq"]
+
+
+def _names_from(tokens):
+    return st.one_of(
+        st.sampled_from(["", "..."]),
+        st.lists(st.sampled_from(tokens), min_size=1, max_size=6).map(
+            lambda toks: " ".join(t.title() for t in toks)),
+    )
+
+
+_query_tokens_st = st.lists(st.sampled_from(_INDEXED_TOKENS + _UNSEEN_TOKENS), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_interleaved_adds_and_lookups_equal_scans(data):
+    # one index, so prefix postings built at one lookup must follow later adds
+    index, names = NameIndex(), []
+    for _ in range(data.draw(st.integers(0, 30), label="steps")):
+        kind = data.draw(st.sampled_from(["add", "add", "first", "best"]))
+        if kind == "add":
+            name = data.draw(_names_from(_INDEXED_TOKENS), label="add")
+            assert index.add(name) == len(names)
+            names.append(name)
+            continue
+        if names and data.draw(st.booleans()):
+            # near an indexed name: tokens dropped, misspelt or added
+            words = [w[:data.draw(st.sampled_from([None, None, -1]))]
+                     for w in data.draw(st.sampled_from(names)).split()
+                     if data.draw(st.sampled_from([True, True, False]))]
+            query = " ".join(words + data.draw(_query_tokens_st))
+        else:
+            query = data.draw(_names_from(_INDEXED_TOKENS + _UNSEEN_TOKENS))
+        threshold = data.draw(st.sampled_from([0, 50, 89, 90, 91, 100]))
+        scores = [_reference_similarity(query, n) for n in names]
+        hits = [i for i, s in enumerate(scores) if s >= threshold]
+        op = (kind, query, threshold)
+        if kind == "first":
+            assert index.first_match(query, threshold) == (hits[0] if hits else None), op
+        else:
+            best = min(hits, key=lambda i: (-scores[i], names[i], i), default=None)
+            want = None if best is None else (best, scores[best])
+            assert index.best_match(query, threshold, lambda i: names[i]) == want, op
+
+
+def test_index_finds_pairs_at_the_edge_of_each_route():
+    # Each query reaches the last name by one ratio only, at the edge of
+    # its bound.  In the first two, "x" is the rarest token and its weight,
+    # 2, equals D(21, 90), so one more token is needed in the prefix.
+    cases = [
+        (["Massachusetts Tulan University"], "X Massachusetts Tulan", 90),  # (I, A)
+        (["Massachusetts Lee", "Tulan Lee", "X Massachusetts Tulan"],
+         "Massachusetts Tulan University", 90),  # (I, B)
+        (["Johns Hopkins University"], "Johns Hopkin University", 90),  # (A, B)
+        (["Smyth"], "Smith", 50),  # (A, B), no shared token
+        (["John"], "Johns", 80),  # (A, B), shortest length in the window
+        (["Johns"], "John", 80),  # (A, B), longest length in the window
+    ]
+    assert orglink._slack(21, 90) == 2
+    for names, query, threshold in cases:
+        hits = [i for i, n in enumerate(names) if _reference_similarity(query, n) >= threshold]
+        assert hits == [len(names) - 1], (query, names)
+        assert NameIndex(names).first_match(query, threshold) == hits[0], (query, names)
+
+
 _TYPE_ORDER = {OrgType.ACADEMIC: 0, OrgType.FEDERAL: 1, OrgType.THINK_TANK: 2}
 
 
@@ -305,3 +377,45 @@ def test_dedup_scores_far_fewer_pairs_than_all_pairs(monkeypatch):
     all_pairs = len(names) * (len(names) - 1) // 2
     assert calls["_distance"] < 0.05 * all_pairs, (calls, all_pairs)
     assert calls["_score"] < 0.10 * all_pairs, (calls, all_pairs)
+
+
+def _perturbed_org_strings(names: list[str], n: int) -> list[str]:
+    """``n`` distinct org strings, each a gazetteer name with a token dropped,
+    the tokens shuffled, one token misspelt, or a qualifier put in front."""
+    rng = random.Random(20200301)
+    qualifiers = ["The", "Department of Medicine at the", "researchers at"]
+    out: dict[str, None] = {}
+    while len(out) < n:
+        words = rng.choice(names).split()
+        kind = rng.randrange(4)
+        if kind == 0 and len(words) > 1:
+            del words[rng.randrange(len(words))]
+        elif kind == 1:
+            rng.shuffle(words)
+        elif kind == 2:
+            k = rng.randrange(len(words))
+            words[k] = words[k][:-1] if len(words[k]) > 3 else words[k] + "s"
+        else:
+            words = rng.choice(qualifiers).split() + words
+        out[" ".join(words)] = None
+    return list(out)
+
+
+def test_linking_scores_a_few_names_per_lookup(monkeypatch):
+    # Counts, not timings: tokens such as "university" and "of" sit in most
+    # gazetteer names, and a lookup scoring every name that shares a token
+    # with it scores dozens; the rare-token prefixes leave a few.
+    records = tuple(load_gazetteers(default_gazetteer_dir()))
+    texts = _perturbed_org_strings([r.name for r in records], 250)
+    monkeypatch.setattr(orglink, "_LINK_INDEXES", [])
+    calls = []
+    score = orglink._score
+
+    def counted(*args):
+        calls.append(1)
+        return score(*args)
+
+    monkeypatch.setattr(orglink, "_score", counted)
+    linked = sum(link_org(text, records) is not None for text in texts)
+    assert linked >= 200
+    assert len(calls) < 5 * len(texts), (len(calls), len(texts))

@@ -298,6 +298,16 @@ def test_welch_t_counts_rejects_non_finite_values():
         stats.welch_t_counts([(1.0, 2), (math.inf, 1)], [(1.0, 3)])
 
 
+def test_welch_t_counts_underflowing_df_raises_value_error():
+    # the variance of b is tiny but not zero, and its square underflows to
+    # 0 in the Welch-Satterthwaite denominator
+    b = [(0.0, 1), (1.5313918648044625e-91, 1)]
+    with pytest.raises(ValueError, match="too small"):
+        stats.welch_t_counts([(0.0, 2)], b)
+    with pytest.raises(ValueError, match="too small"):
+        welch_t([0.0, 0.0], [0.0, 1.5313918648044625e-91])
+
+
 # ---------------------------------------------------------------------------
 # tail probabilities vs scipy
 

@@ -141,8 +141,11 @@ def ref_welch_t_counts(a, b):
     if va == 0.0 and vb == 0.0:
         raise ValueError("both variances are zero; t undefined")
     sa, sb = va / na, vb / nb
+    den = sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)
+    if den == 0.0:  # since added: an underflowing df raises, not ZeroDivisionError
+        raise ValueError("variances too small for the Welch-Satterthwaite df; t undefined")
     t = (ma - mb) / math.sqrt(sa + sb)
-    df = (sa + sb) ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1))
+    df = (sa + sb) ** 2 / den
     p = ref_reg_inc_beta(df / 2.0, 0.5, df / (df + t * t)) if t != 0.0 else 1.0
     return WelchResult(t=t, df=df, p_value=p)
 
@@ -238,7 +241,7 @@ def _welch_outcome(fn, a, b):
     """The bits of ``fn``'s t, df and p, or the error it raises."""
     try:
         r = fn(a, b)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
     return [_bits(v) for v in (r.t, r.df, r.p_value)]
 
