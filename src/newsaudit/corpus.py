@@ -20,6 +20,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+from .orglink import has_token
+
 log = logging.getLogger(__name__)
 
 #: Curly double quotes are folded to straight quotes at ingestion so the
@@ -83,7 +85,7 @@ def load_source_config(path: "str | Path") -> SourceConfig:
     for key, entry in raw.items():
         try:
             display_name, ideology = entry["display_name"], entry["ideology"]
-            self_org_names = tuple(entry["self_org_names"])
+            self_org_names = entry["self_org_names"]
         except KeyError as exc:
             raise ValueError(f"{path}: outlet {key!r} lacks {exc}") from None
         except TypeError:
@@ -98,12 +100,32 @@ def load_source_config(path: "str | Path") -> SourceConfig:
                 f"{path}: outlet {key!r}: ideology must be 'left' or 'right', "
                 f"got {ideology!r}"
             ) from None
-        outlets[key] = Outlet(
-            key=key,
-            display_name=display_name,
-            ideology=ideology,
-            self_org_names=self_org_names,
-        )
+        if not isinstance(display_name, str):
+            raise ValueError(
+                f"{path}: outlet {key!r}: display_name must be a string, got {display_name!r}"
+            )
+        if not isinstance(self_org_names, list):
+            raise ValueError(
+                f"{path}: outlet {key!r}: self_org_names must be a list of names, "
+                f"got {self_org_names!r}"
+            )
+        for name in self_org_names:
+            # A name without a token scores 100 against every org, so it
+            # would suppress all of the outlet's mentions.
+            if not isinstance(name, str) or not has_token(name):
+                raise ValueError(
+                    f"{path}: outlet {key!r}: self_org_name {name!r} is not a "
+                    "name with an ASCII letter or digit"
+                )
+        try:
+            outlets[key] = Outlet(
+                key=key,
+                display_name=display_name,
+                ideology=ideology,
+                self_org_names=tuple(self_org_names),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return SourceConfig(outlets=outlets)
 
 
@@ -238,7 +260,12 @@ ABBREVIATIONS = (
     "St.", "U.S.", "Inc.", "No.",
 )
 
-_TERMINATOR = re.compile(r"[.!?]")
+# A terminator, an optional closing quote, and the whitespace up to the
+# next character, where the next sentence would start.  ``\s`` in a str
+# pattern is exactly ``str.isspace``.  A quote is only taken when
+# whitespace follows it, so a terminator right before an opening quote
+# never matches.
+_BOUNDARY = re.compile(r'[.!?]"?\s+(?=\S)')
 
 # A listed abbreviation or a lone capital ("Gustave F. Perna" has an
 # initial, not a terminator), ending the searched text and preceded by a
@@ -289,52 +316,42 @@ def segment_sentences(body: str, article_ref: str = "") -> list[Sentence]:
     A terminator (. ! ?) ends a sentence when followed by whitespace and
     then a capital letter or an opening quote.  Periods closing a listed
     abbreviation or a single-capital initial never split.  Terminators
-    inside a balanced double-quoted
-    region never split either, except immediately before the closing
-    quote, where the boundary moves past the quote character.  Spans are
-    trimmed to non-whitespace text; concatenating the texts with the
-    original gaps reproduces the body.
+    inside a balanced double-quoted region never split either, except
+    immediately before the closing quote, where the boundary moves past
+    the quote character.  Spans are trimmed to non-whitespace text;
+    concatenating the texts with the original gaps reproduces the body.
+
+    One compiled scan finds every terminator followed by whitespace; the
+    quote regions are walked once, in step with it, so a body costs time
+    linear in its length.  The whitespace a match ends on is the gap
+    between two sentences, so only the body's own ends need trimming.
     """
-    n = len(body)
-    if not body.strip():
+    start = len(body) - len(body.lstrip())
+    if start == len(body):
         return []
     regions = _quote_regions(body)
-
-    boundaries: list[int] = []
-    for m in _TERMINATOR.finditer(body):
-        i = m.start()
+    n_regions = len(regions)
+    k = 0  # the first region that closes after the current terminator
+    sentences: list[Sentence] = []
+    for m in _BOUNDARY.finditer(body):
+        i, j = m.span()
+        if not (body[j].isupper() or body[j] == '"'):
+            continue
+        while k < n_regions and regions[k][1] <= i:
+            k += 1
+        if body[i + 1] == '"':
+            # only the closing quote of the terminator's own region
+            if k == n_regions or regions[k][1] != i + 1:
+                continue
+            end = i + 2
+        else:
+            if k < n_regions and regions[k][0] < i:
+                continue
+            end = i + 1
         if body[i] == "." and _is_abbreviation_period(body, i):
             continue
-        end = i + 1
-        region = _enclosing_region(regions, i)
-        if region is not None:
-            if i + 1 != region[1]:
-                continue
-            end = region[1] + 1
-        j = end
-        while j < n and body[j].isspace():
-            j += 1
-        if j == end or j >= n:
-            continue
-        if body[j].isupper() or body[j] == '"':
-            boundaries.append(end)
-
-    sentences: list[Sentence] = []
-    start = 0
-    for end in boundaries + [n]:
-        lo, hi = start, end
-        while lo < hi and body[lo].isspace():
-            lo += 1
-        while hi > lo and body[hi - 1].isspace():
-            hi -= 1
-        if lo < hi:
-            sentences.append(
-                Sentence(
-                    article_ref=article_ref,
-                    index=len(sentences),
-                    span=(lo, hi),
-                    text=body[lo:hi],
-                )
-            )
-        start = end
+        sentences.append(Sentence(article_ref, len(sentences), (start, end), body[start:end]))
+        start = j
+    end = len(body.rstrip())
+    sentences.append(Sentence(article_ref, len(sentences), (start, end), body[start:end]))
     return sentences

@@ -103,6 +103,10 @@ class ReportingVerbLexicon:
         Without such a token no phrase can match, so the clausal detector
         finds nothing in the text and need not tokenize it.
         """
+        if text.isascii():
+            # tokens are ASCII apart from the curly apostrophe, so for
+            # ASCII text lowering first tokenizes the same and casefolds
+            return not self.phrases.keys().isdisjoint(_TOKEN_RE.findall(text.lower()))
         return not self.phrases.keys().isdisjoint(
             map(str.casefold, _TOKEN_RE.findall(text))
         )
@@ -168,6 +172,8 @@ _WORD_CHAR = re.compile(r"\w")
 def detect_direct_pattern(sentence) -> Optional[QuoteCandidate]:
     """`"<reported speech>," (said|says|say) <tail>`."""
     text = _sentence_text(sentence)
+    if "sa" not in text:  # every verb the pattern takes contains it
+        return None
     for m in _DIRECT_RE.finditer(text):
         if len(_WORD_CHAR.findall(m.group("content"))) < 2:
             continue
@@ -280,6 +286,10 @@ def detect_according_to(sentence) -> Optional[QuoteCandidate]:
     boundary (comma, semicolon, or colon).
     """
     text = _sentence_text(sentence)
+    # Under IGNORECASE "i" also matches U+0131 and U+0130, so only ASCII
+    # text can be ruled out by its lowercase form.
+    if text.isascii() and "according" not in text.lower():
+        return None
     m = _ACCORDING_RE.search(text)
     if m is None:
         return None

@@ -184,6 +184,12 @@ def _profile(name: str) -> _Profile:
     return _Profile(tokens, text, bag)
 
 
+def has_token(name: str) -> bool:
+    """Whether ``name`` has a token to score.  A name without one scores
+    100 against every name, so a gazetteer or outlet name must have one."""
+    return _TOKEN_RE.search(name.casefold()) is not None
+
+
 def _reaches(distance: int, length: int, threshold: int) -> bool:
     """Whether a ratio with this distance over this length rounds to >= threshold."""
     return int(round(100.0 * (1.0 - distance / length))) >= threshold
@@ -489,20 +495,30 @@ def _data_rows(path: Path) -> Iterable[list[str]]:
 def _ranked_rows(path: Path) -> Iterable[tuple[int, str]]:
     """(rank, name) pairs of a ranked gazetteer file.
 
-    A row without a non-empty name or without an integer rank of at least
-    1 raises a ValueError that names the file and the row.
+    A row without a name that has a token, or without an integer rank of
+    at least 1, raises a ValueError that names the file and the row.
     """
     for row in _data_rows(path):
         try:
             rank, name = int(row[0]), row[1].strip()
-            if rank < 1 or not name:
+            if rank < 1 or not has_token(name):
                 raise ValueError
         except (IndexError, ValueError):
             raise ValueError(
                 f"{path}: malformed row {','.join(row)!r} (expected rank,name "
-                "with an integer rank >= 1 and a non-empty name)"
+                "with an integer rank >= 1 and a name with an ASCII letter or digit)"
             ) from None
         yield rank, name
+
+
+def _matchable(path: Path, name: str) -> str:
+    """``name``, if it has a token; else a ValueError naming the file and row."""
+    if not has_token(name):
+        raise ValueError(
+            f"{path}: malformed row {name!r} (a name needs an ASCII letter or "
+            "digit, or it matches every organization)"
+        )
+    return name
 
 
 def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -568,13 +584,14 @@ def load_gazetteers(gazetteer_dir: "str | Path") -> list[OrgRecord]:
         else:
             academics[best_i] = replace(academics[best_i], public_health_rank=ph_rank)
 
+    federal, think_tanks = d / "federal.txt", d / "thinktanks.csv"
     federal_names: set[str] = set()
     think_tank_names: set[str] = set()
     return academics + [
-        OrgRecord(name, OrgType.FEDERAL) for _, name in _text_lines(d / "federal.txt")
-        if _first_seen(name, federal_names, "federal agency")
+        OrgRecord(name, OrgType.FEDERAL) for _, name in _text_lines(federal)
+        if _first_seen(_matchable(federal, name), federal_names, "federal agency")
     ] + [
         OrgRecord(name, OrgType.THINK_TANK)
-        for name in (row[0].strip() for row in _data_rows(d / "thinktanks.csv"))
-        if name and _first_seen(name, think_tank_names, "think tank")
+        for name in (row[0].strip() for row in _data_rows(think_tanks))
+        if name and _first_seen(_matchable(think_tanks, name), think_tank_names, "think tank")
     ]

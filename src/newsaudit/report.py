@@ -344,8 +344,9 @@ def extract_mentions(
             counts.skipped_unconfigured_sources[article.source] += 1
             continue
         counts.articles_by_outlet[outlet.key] += 1
-        for sentence in segment_sentences(article.body, article_ref=article.id):
-            counts.sentences += 1
+        sentences = segment_sentences(article.body, article_ref=article.id)
+        counts.sentences += len(sentences)
+        for sentence in sentences:
             text = sentence.text
             toks = _tokens(text) if lexicon.has_first_word(text) else None
             cands = run_detectors(sentence, toks, lexicon)
@@ -389,6 +390,8 @@ def extract_mentions(
                         detectors=cand.detectors,
                     )
                 )
+        # free this article's sentences before the next one is segmented
+        del sentences
     mentions.sort(key=mention_sort_key)
     return mentions, counts
 

@@ -156,6 +156,14 @@ def test_seed_changes_bootstrap_but_not_counts(tmp_path):
         ({"display_name": "X", "self_org_names": ["X"]}, "'ideology'"),
         ({"display_name": "X", "ideology": "left"}, "'self_org_names'"),
         ("not an object", "must be an object"),
+        # an int name, and names with no token, which would match every org
+        ({"display_name": "X", "ideology": "left", "self_org_names": [1]}, "self_org_name 1 "),
+        ({"display_name": "X", "ideology": "left", "self_org_names": ["--"]}, "'--'"),
+        ({"display_name": "X", "ideology": "left", "self_org_names": [""]}, "''"),
+        # a bare string would be read as one name per character
+        ({"display_name": "X", "ideology": "left", "self_org_names": "AB"}, "must be a list"),
+        ({"display_name": "X", "ideology": "left", "self_org_names": []}, "at least one"),
+        ({"display_name": 5, "ideology": "left", "self_org_names": ["X"]}, "display_name"),
     ],
 )
 def test_malformed_sources_entry_exits_cleanly(tmp_path, caplog, entry, needle):
@@ -308,9 +316,20 @@ def test_deeply_nested_mentions_line_exits_cleanly(tmp_path, caplog, lineno, edi
 
 @pytest.mark.parametrize("filename", ["universities.csv", "public_health.csv"])
 @pytest.mark.parametrize(
-    "row", ["7", "seven,Northfield University", "7,", "0,Zeta University"]
+    "row", ["7", "seven,Northfield University", "7,", "0,Zeta University", "7,--"]
 )
 def test_malformed_gazetteer_row_exits_cleanly(tmp_path, caplog, filename, row):
+    _assert_gazetteer_row_rejected(tmp_path, caplog, filename, row)
+
+
+# A name with no token would link every unmatched org to itself at 100.
+@pytest.mark.parametrize("filename", ["federal.txt", "thinktanks.csv"])
+@pytest.mark.parametrize("row", ["--", "(&)"])
+def test_tokenless_gazetteer_name_exits_cleanly(tmp_path, caplog, filename, row):
+    _assert_gazetteer_row_rejected(tmp_path, caplog, filename, row)
+
+
+def _assert_gazetteer_row_rejected(tmp_path, caplog, filename, row):
     gaz = tmp_path / "gazetteers"
     shutil.copytree(default_gazetteer_dir(), gaz)
     with (gaz / filename).open("a", encoding="utf-8") as fh:
@@ -432,6 +451,22 @@ def test_cli_import_skips_xml_sax_and_urllib_request():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_audit_leaves_numpy_ma_unimported(tmp_path):
+    # np.quantile imports numpy.ma on first use, about 13 ms of every run;
+    # the bootstrap interval is computed without it
+    import newsaudit
+
+    src = str(Path(newsaudit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["audit", "--corpus", CORPUS, "--sources", SOURCES, "--out", str(tmp_path)]
+    probe = (f"import sys; from newsaudit.cli import main; code = main({argv!r}); "
+             "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split()[-3:] == ["0", "False", "True"]
 
 
 def test_figure_text_escape_matches_xml_sax():

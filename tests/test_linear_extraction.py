@@ -1,17 +1,19 @@
 """Linear-time segmentation and detection against the slow references.
 
-``segment_sentences`` finds the quote region around a terminator by
-bisection and an abbreviation by one compiled pattern,
-``detect_clausal_complement`` reads the phrase index built once by
-``ReportingVerbLexicon`` and tracks the last capitalized token instead of
-rescanning the speaker window, ``ReportingVerbLexicon.has_first_word``
-lets the extraction loop skip the clausal scan, and the union resolves
-entities from mentions sorted once per call.  The references below keep
-the earlier per-terminator, per-sentence and per-group scans verbatim;
-the fast code must agree with them exactly.  Fuzz tests feed arbitrary
-text, scaling tests guard against the quadratic region and window scans
-coming back, and a counting test holds extraction to one tokenization
-per sentence.
+``segment_sentences`` finds candidate boundaries in one compiled scan,
+walks the quote regions once in step with it and tests an abbreviation
+by one compiled pattern, ``detect_clausal_complement`` reads the phrase
+index built once by ``ReportingVerbLexicon`` and tracks the last
+capitalized token instead of rescanning the speaker window,
+``ReportingVerbLexicon.has_first_word`` lets the extraction loop skip the
+clausal scan, the direct and according-to detectors return early on text
+that cannot hold their phrase, and the union resolves entities from
+mentions sorted once per call.  The references below keep the earlier
+per-terminator, per-sentence and per-group scans and the unfiltered
+detectors verbatim; the fast code must agree with them exactly.  Fuzz
+tests feed arbitrary text, scaling tests guard against the quadratic
+region and window scans coming back, and a counting test holds
+extraction to one tokenization per sentence.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from hypothesis import strategies as st
 
 from newsaudit import corpus, entities, extract, report
 from newsaudit.corpus import (
-    _TERMINATOR,
     ABBREVIATIONS,
     Sentence,
     _is_abbreviation_period,
@@ -59,6 +60,7 @@ from newsaudit.extract import (
     _clausal_rspeech,
     _eligible,
     _overlaps,
+    _trim_end,
     detect_according_to,
     detect_clausal_complement,
     detect_direct_pattern,
@@ -99,9 +101,11 @@ APOSTROPHE_LEXICON = ReportingVerbLexicon(
 
 # ---------------------------------------------------------------------------
 # slow references (the code as it was before bisection, the prebuilt index,
-# the compiled abbreviation pattern and the tracked capital)
+# the compiled abbreviation pattern, the tracked capital and the detector
+# prefilters)
 
 _WORD_CHAR = re.compile(r"[A-Za-z0-9]")
+_TERMINATOR = re.compile(r"[.!?]")
 
 
 def reference_is_abbreviation_period(body: str, i: int) -> bool:
@@ -209,6 +213,78 @@ def reference_clausal_complement(sentence, lexicon) -> Optional[QuoteCandidate]:
     return None
 
 
+def reference_detect_direct_pattern(sentence) -> Optional[QuoteCandidate]:
+    text = getattr(sentence, "text", sentence)
+    for m in extract._DIRECT_RE.finditer(text):
+        if len(extract._WORD_CHAR.findall(m.group("content"))) < 2:
+            continue
+        open_q = m.start()
+        if m.group("close") == ',"':
+            rspeech = (open_q + 1, m.start("close") + 1)  # comma kept inside
+        else:
+            rspeech = (open_q + 1, m.start("close"))
+        return QuoteCandidate(
+            sentence_ref=sentence,
+            rspeech_span=rspeech,
+            rverb=m.group("verb"),
+            rverb_span=m.span("verb"),
+            detectors=frozenset({Detector.DIRECT_PATTERN}),
+            rspeech_quoted=True,
+            window_span=m.span("tail"),
+        )
+    return None
+
+
+def reference_detect_according_to(sentence) -> Optional[QuoteCandidate]:
+    text = getattr(sentence, "text", sentence)
+    m = extract._ACCORDING_RE.search(text)
+    if m is None:
+        return None
+    lead = len(text) - len(text.lstrip())
+    tail_start = m.end()
+    while tail_start < len(text) and text[tail_start] == " ":
+        tail_start += 1
+    if m.start() == lead:
+        comma = text.find(",", m.end())
+        if comma == -1:
+            window = (tail_start, _trim_end(text, tail_start, len(text)))
+            rspeech = (len(text), len(text))
+        else:
+            window = (tail_start, _trim_end(text, tail_start, comma))
+            rs = comma + 1
+            while rs < len(text) and text[rs] == " ":
+                rs += 1
+            rspeech = (rs, _trim_end(text, rs, len(text)))
+    else:
+        end = m.start()
+        while end > lead and text[end - 1] == " ":
+            end -= 1
+        if end > lead and text[end - 1] == ",":
+            end -= 1
+        rspeech = (lead, end)
+        stop = len(text)
+        for ch in ",;:":
+            p = text.find(ch, tail_start)
+            if p != -1:
+                stop = min(stop, p)
+        window = (tail_start, _trim_end(text, tail_start, stop))
+    return QuoteCandidate(
+        sentence_ref=sentence,
+        rspeech_span=rspeech,
+        rverb="according to",
+        rverb_span=m.span(),
+        detectors=frozenset({Detector.ACCORDING_TO}),
+        rspeech_quoted=False,
+        window_span=window,
+    )
+
+
+def reference_has_first_word(lexicon, text: str) -> bool:
+    return not lexicon.phrases.keys().isdisjoint(
+        map(str.casefold, _TOKEN_RE.findall(text))
+    )
+
+
 def reference_person_exclusion_spans(text, mentions, honorifics):
     toks = _tokens(text)
     spans = []
@@ -276,12 +352,16 @@ def reference_union(cands, persons, orgs, outlet_names=(), suppress=True,
 # strategies
 
 # Quote-dense prose: quotes come alone so their count is often odd, and
-# terminators sit right before closing quotes, after abbreviations and
-# after single-capital initials.
+# terminators sit right before closing quotes, after abbreviations, after
+# single-capital initials and inside "U.S."-style runs.  Whitespace
+# includes the separators only str.isspace knows (\x1c, no-break space,
+# line separator); capitals include non-ASCII ones, a title-case letter
+# (not isupper) and a Roman numeral (isupper, but not a letter).
 _BODY_PIECES = [
     '"', '"', '"', ".", "!", "?", '."', '!"', '?"', '," ', ". ", " ", " ", "  ",
-    "\n", "\t", "Dr.", "Mr.", "U.S.", "Inc.", "No.", "St.", "F.", " J. ", "A.",
-    "Kosygrov.", "The", "Cases", "rose", "said", "she", "x", "9.", "é",
+    "\n", "\t", "\x1c", "\u00a0", "\u2028", "Dr.", "Mr.", "U.S.", "U.S.A.",
+    "F.B.I.", "e.g.", "Inc.", "No.", "St.", "F.", " J. ", "A.", "Kosygrov.",
+    "The", "Cases", "rose", "said", "she", "x", "9.", "é", "É", "Σ", "ǅ", "Ⅳ",
 ]
 quote_dense_st = st.lists(st.sampled_from(_BODY_PIECES), max_size=80).map("".join)
 
@@ -330,6 +410,21 @@ apostrophe_st = st.lists(
     max_size=20,
 ).map(lambda pairs: "".join(w + sep for w, sep in pairs))
 
+# Text around the prefiltered phrases: verbs in every case, "according"
+# with U+0131 or U+0130 for its "i" (which IGNORECASE matches), long s and
+# the Kelvin sign (which lowercase to ASCII letters), glued to words or not.
+_PREFILTER_PIECES = [
+    "said", "SAID", "Said", "says", "say", "sa", "ſaid", "said-so", "told",
+    "according", "ACCORDING", "According", "accordıng", "accordİng", "to",
+    "TO", "accord", "ing", "\u212a", "\u212atold", "İ", "ı", "ſ", "Jane", "Doe",
+    "didn't", "point-blank", "cases", '"', ',"', '",', ",", ".",
+    '"Cases rose,"', '"It is clear",',
+]
+prefilter_st = st.lists(
+    st.tuples(st.sampled_from(_PREFILTER_PIECES), st.sampled_from([" ", "", "  ", "\n"])),
+    max_size=24,
+).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
 # ---------------------------------------------------------------------------
 # differential tests
 
@@ -338,6 +433,21 @@ apostrophe_st = st.lists(
 @given(quote_dense_st)
 def test_segment_sentences_matches_linear_region_scan(body):
     assert segment_sentences(body, "a") == reference_segment_sentences(body, "a")
+
+
+def test_segment_sentences_cases_against_reference():
+    bodies = [
+        'A ". B" it. Done',  # a terminator right after an opening quote
+        'He said "no." Then he left. "Go!" She ran.',
+        'Odd " quote. Then more. "Unclosed. It ends.',
+        "The U.S. Army left. U.S.A. Today. F.B.I. Agents came. e.g. This.",
+        "One.\x1cTwo.\u2028Three.\u00a0Four.\u3000Five",
+        "   Leading. Trailing.   ",
+        "Title \u01c5. Roman \u2163. Greek \u03a3. Small \u00e9. Capital \u00c9.",
+    ]
+    for body in bodies:
+        assert segment_sentences(body, "a") == reference_segment_sentences(body, "a"), body
+    assert [s.text for s in segment_sentences(bodies[0])] == ['A ". B" it.', "Done"]
 
 
 @settings(max_examples=800, deadline=None)
@@ -440,6 +550,35 @@ def test_first_word_check_cases():
     cand = detect_clausal_complement(text, _tokens(text), APOSTROPHE_LEXICON)
     assert cand.rverb == "won’t comment"
     assert cand == reference_clausal_complement(text, APOSTROPHE_LEXICON)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(prefilter_st, sentence_st, apostrophe_st))
+def test_prefiltered_detectors_match_unfiltered_references(text):
+    assert detect_direct_pattern(text) == reference_detect_direct_pattern(text)
+    assert detect_according_to(text) == reference_detect_according_to(text)
+    for lexicon in (LEXICON, SHARED_LEXICON, APOSTROPHE_LEXICON):
+        assert lexicon.has_first_word(text) == reference_has_first_word(lexicon, text)
+
+
+def test_prefilter_cases():
+    for text in ('"Cases rose sharply," said Jane Doe.', '"Cases rose," says Jane Doe.',
+                 '"It is clear", say experts.', "According to Jane Doe, it rose.",
+                 "It rose, accordıng to Jane Doe.", "It rose, ACCORDİNG TO Jane Doe.",
+                 "Jane SAID so", "ſaid Jane", "\u212atold Jane", "İsaid", "said-so"):
+        assert detect_direct_pattern(text) == reference_detect_direct_pattern(text), text
+        assert detect_according_to(text) == reference_detect_according_to(text), text
+        for lexicon in (LEXICON, APOSTROPHE_LEXICON):
+            assert (lexicon.has_first_word(text)
+                    == reference_has_first_word(lexicon, text)), text
+    assert detect_according_to("It rose, accordıng to Jane Doe.") is not None
+    assert detect_direct_pattern('"Cases rose sharply," SAID Jane Doe.') is None
+    assert detect_direct_pattern('"Cases rose," says Jane Doe.').rverb == "says"
+    assert detect_direct_pattern('"It is clear", say experts.').rverb == "say"
+    # the Kelvin sign lowers to "k", so the ASCII shortcut must not see it
+    assert not LEXICON.has_first_word("\u212aold")
+    assert LEXICON.has_first_word("\u212atold")
+    assert APOSTROPHE_LEXICON.has_first_word("Jane SAID-SO")
 
 
 def test_abbreviation_pattern_matches_loop():

@@ -483,6 +483,34 @@ def test_bootstrap_memory_is_bounded_by_the_block():
     assert peak < 2 * stats._BLOCK * 8 + 8 * len(data) * 8
 
 
+# Replicate values: few distinct ones, so values repeat, or any finite
+# float.  "+ 0.0" turns -0.0 into 0.0: partition and sort may order the
+# two zeros differently, and count-based replicates are never -0.0.
+_replicates_st = st.lists(
+    st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(allow_nan=False, allow_infinity=False, width=64).map(lambda x: x + 0.0),
+    ),
+    min_size=1,
+    max_size=80,
+)
+_confidence_st = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 53).map(lambda k: 1.0 - 2.0 ** -k),  # near 1: tiny alpha
+    st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_replicates_st, _confidence_st)
+def test_summary_interval_equals_numpy_quantile_bit_for_bit(values, confidence):
+    with np.errstate(over="ignore", invalid="ignore"):  # huge floats may overflow
+        result = stats._summarise(np.array(values), BootstrapConfig(confidence=confidence))
+        alpha = (1.0 - confidence) / 2.0
+        lo, hi = np.quantile(np.array(values), [alpha, 1.0 - alpha])
+    assert (result.ci_low.hex(), result.ci_high.hex()) == (float(lo).hex(), float(hi).hex())
+
+
 # ---------------------------------------------------------------------------
 # bootstrap from binomial counts
 
